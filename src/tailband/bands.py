@@ -25,7 +25,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .data import OrderedSample, TailIndexEstimate, hill_estimate
 from .distributions import (
@@ -300,6 +299,8 @@ class BandQuantileTable:
     def lookup(self, xi: float) -> tuple[QuantileEstimate, QuantileEstimate]:
         if not (self.xis[0] <= xi <= self.xis[-1]):
             raise DomainError(f"xi={xi:.4f} outside tabulated range [{self.xis[0]}, {self.xis[-1]}]")
+        from scipy.interpolate import PchipInterpolator
+
         c = float(PchipInterpolator(self.xis, self.c_values)(xi))
         d = float(PchipInterpolator(self.xis, self.d_values)(xi))
         mk = lambda v, err: QuantileEstimate(

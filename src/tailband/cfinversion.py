@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ConvergenceFailure, DomainError
 
@@ -75,6 +74,8 @@ class GilPelaezInverter:
 
     def quantile(self, q: float, xtol: float = 1e-6) -> float:
         """q-quantile by bracketing bisection of the inverted CDF."""
+        from scipy.optimize import brentq
+
         if not (0.0 < q < 1.0):
             raise DomainError(f"quantile level {q} outside (0,1)")
         lo, hi = -1.0, 1.0

@@ -60,9 +60,24 @@ def _default_seed() -> int:
     return int(os.environ.get("TAILBAND_SEED", "0"))
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None, help="random seed (default: $TAILBAND_SEED or 0)")
-    p.add_argument("--threads", type=int, default=1, help="worker processes for Monte Carlo batches")
+    p.add_argument(
+        "--threads",
+        type=_positive_int,
+        default=1,
+        help="worker processes for Monte Carlo batches (capped at the batch and CPU counts)",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:

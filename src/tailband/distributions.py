@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import gamma as _gamma_fn
 
 from . import cfinversion
 from .data import OrderedSample
@@ -29,6 +27,15 @@ from .limitsim import QuantileEstimate, batch_quantile_std_error
 from .rng import RngStream
 
 XI_ZERO_TOL = 1e-12
+
+
+def _gamma_fn(x: float) -> float:
+    """scipy.special.gamma, imported on first use so that simulation and the
+    QQ path never load scipy.  math.gamma is not a drop-in: it differs by up
+    to 1 ulp on (0, 2), which moves the heavy-regime band quantiles."""
+    from scipy.special import gamma
+
+    return gamma(x)
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +315,8 @@ def positive_stable_scale(xi: float) -> float:
 @lru_cache(maxsize=1)
 def _alpha_one_location() -> float:
     # int_0^inf (sin x / x^2 - 1/(x(1+x))) dx, split with analytic tails
+    from scipy.integrate import quad
+
     big = 200.0
     head, _ = quad(
         lambda u: np.sin(u) / u**2 - 1.0 / (u * (1.0 + u)), 0.0, big, limit=400

@@ -14,6 +14,10 @@ Two closed forms do the analytic work:
 * doob_band_probability: P(-(alpha t + beta) <= W(t) <= a t + b for all
   t >= 0), Doob's two-linear-boundary formula.
 
+The Gaussian cdf in the series is `_ndtr`, 0.5 * erfc(-x/sqrt 2) from the
+standard library's math.erfc, and `qq_sup_quantile` inverts the series by
+plain bisection, so the QQ band never loads scipy.
+
 Everything Monte Carlo is driven by RngStream batches so results are
 reproducible bit-for-bit at any worker count.
 """
@@ -23,8 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import ndtr
 
 from .errors import ConvergenceFailure, DomainError, RegimeMismatch
 from .parallel import batch_sizes, run_batches
@@ -39,6 +41,18 @@ DUAL_SERIES_CROSSOVER = 0.5
 
 DEFAULT_PATHS = 10_000
 DEFAULT_GRID = 8192
+
+_SQRT1_2 = math.sqrt(0.5)
+
+
+def _ndtr(x) -> np.ndarray:
+    """Standard normal cdf at each element of x, as 0.5 * erfc(-x/sqrt 2).
+
+    It agrees with scipy.special.ndtr to 3 ulp for x >= -1, which covers
+    every term of the image series; further into the lower tail both lose
+    relative accuracy to the rounding of x/sqrt 2.
+    """
+    return np.array([0.5 * math.erfc(-v * _SQRT1_2) for v in np.ravel(x).tolist()])
 
 
 @dataclass(frozen=True)
@@ -93,9 +107,9 @@ def _image_series(x: float, terms: int, form: str) -> float:
     """Partial image (reflection) sum of the cone-exit probability, unclipped."""
     k = np.arange(1, terms + 1, dtype=float)
     if form == SERIES_FORM_DEFAULT:
-        return 4.0 * float(np.sum(ndtr((4 * k - 1) * x) - ndtr((4 * k - 3) * x)))
+        return 4.0 * float(np.sum(_ndtr((4 * k - 1) * x) - _ndtr((4 * k - 3) * x)))
     if form == SERIES_FORM_ALTERNATE:
-        return 4.0 * float(np.sum(ndtr((4 * k + 1) * x) - ndtr((4 * k - 1) * x)))
+        return 4.0 * float(np.sum(_ndtr((4 * k + 1) * x) - _ndtr((4 * k - 1) * x)))
     raise DomainError(f"unknown series form {form!r}")
 
 
@@ -156,7 +170,7 @@ def reflection_exit_probability(slope: float, delta: float, terms: int = 200) ->
         raise DomainError("slope and delta must be positive")
     x = slope * math.sqrt(delta)
     j = np.arange(-terms, terms + 1, dtype=float)
-    stay = np.sum((-1.0) ** j * (ndtr((2 * j + 1) * x) - ndtr((2 * j - 1) * x)))
+    stay = np.sum((-1.0) ** j * (_ndtr((2 * j + 1) * x) - _ndtr((2 * j - 1) * x)))
     return min(1.0, max(0.0, 1.0 - float(stay)))
 
 
@@ -190,8 +204,10 @@ def doob_band_probability(
 def qq_sup_quantile(level: float, eps: float, terms: int = 15) -> QuantileEstimate:
     """level-quantile of sup_{t >= delta} |W(t)|/t with delta = eps/(1-eps).
 
-    Solves cone_exit_probability(M, delta, terms) = 1 - level by bracketed
-    root-finding; the returned M satisfies |P(sup > M) - (1-level)| <= 1e-8.
+    Solves cone_exit_probability(M, delta, terms) = 1 - level by bisection
+    in x = M*sqrt(delta), which halves the bracket until it is at most
+    xtol = 1e-13 wide and returns its midpoint; the returned M satisfies
+    |P(sup > M) - (1-level)| <= 1e-8.
     The bracket starts at M*sqrt(delta) = 0.085, which covers every level
     >= 0.001; more extreme lower-tail levels are refused.  The series is
     accurate below that point too (it sums the dual series there); the
@@ -219,10 +235,18 @@ def qq_sup_quantile(level: float, eps: float, terms: int = 15) -> QuantileEstima
         x_hi *= 2.0
     else:
         raise ConvergenceFailure("failed to bracket the quantile")
-    x_star = brentq(lambda x: prob_at_x(x) - target, x_lo, x_hi, xtol=1e-13, rtol=8.9e-16)
-    if abs(prob_at_x(float(x_star)) - target) > 1e-8:
+    # The exit probability falls as x grows: prob_at_x(lo) >= target > prob_at_x(hi).
+    lo, hi = x_lo, x_hi
+    while hi - lo > 1e-13:
+        mid = 0.5 * (lo + hi)
+        if prob_at_x(mid) >= target:
+            lo = mid
+        else:
+            hi = mid
+    x_star = 0.5 * (lo + hi)
+    if abs(prob_at_x(x_star) - target) > 1e-8:
         raise ConvergenceFailure("root-find did not reach probability tolerance")
-    return QuantileEstimate(value=float(x_star) / sqrt_d, level=level, source="series")
+    return QuantileEstimate(value=x_star / sqrt_d, level=level, source="series")
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ bit-identical for any worker count.
 """
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Sequence, TypeVar
 
@@ -23,8 +24,10 @@ def batch_sizes(total: int, batch: int) -> list[int]:
 
 
 def run_batches(fn: Callable[[T], R], args: Sequence[T], threads: int = 1) -> list[R]:
-    """Map fn over args, preserving order; threads > 1 uses worker processes."""
-    if threads <= 1 or len(args) <= 1:
+    """Map fn over args, preserving order, in min(threads, len(args), CPU
+    count) worker processes; with one worker it runs in this process."""
+    workers = min(threads, len(args), os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(a) for a in args]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, args))

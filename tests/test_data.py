@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from tailband import data as data_module
 from tailband.data import (
     OrderedSample,
     empirical_me,
@@ -112,6 +113,85 @@ def test_ingest_csv_column_bad_row(tmp_path):
     with pytest.raises(ParseError) as exc:
         ingest(f, format="csv-column", column=0)
     assert exc.value.line_number == 3
+
+
+# Plain-format files for the fast-path equivalence table; the line loop
+# (_ingest_lines) is the oracle.  Values are written as bytes so that line
+# endings and whitespace reach the reader exactly as given.
+_PAST_FIRST_CHUNK = b"".join(b"%d.25\n" % i for i in range(200_000))  # ~1.3 MB
+INGEST_EQUIVALENCE_ROWS = {
+    "crlf": b"3.5\r\n1\r\n2e1\r\n",
+    "spaces-and-tabs": b"  3.5\n\t1 \n 2e1\t\t\n",
+    "signs-and-underscores": b"+.5e-3\n1_000\n-7\n",
+    "nan": b"1\n2\nnan\n",
+    "NaN": b"1\nNaN\n2\n",
+    "minus-inf": b"-inf\n1\n2\n",
+    "overflow-to-inf": b"1\n1e400\n2\n",
+    "comment-first-line": b"# header\n1\n2\n",
+    "comment-middle-line": b"1\n# note\n2\n",
+    "comment-last-line": b"1\n2\n# end\n",
+    "blank-lines": b"\n1\n\n2\n\n",
+    "whitespace-only-lines": b"1\n   \n\t\n2\n",
+    "no-trailing-newline": b"1\n2\n3.75",
+    "single-value": b"4.5\n",
+    "empty-file": b"",
+    "bad-token": b"1\n2\nbogus\n",
+    "bad-token-past-first-chunk": _PAST_FIRST_CHUNK + b"1x\n2\n",
+    "nan-past-first-chunk": _PAST_FIRST_CHUNK + b"nan\n",
+    "clean-past-first-chunk": _PAST_FIRST_CHUNK,
+    "not-utf8": b"1\n2\n\xff3\n4\n",
+    "not-utf8-in-comment": b"1\n2\n# caf\xe9\n",
+    "unicode-whitespace": "\u00a01.5\u2003\n2\n".encode("utf-8"),
+    "old-mac-line-endings": b"1\r2\r3\r",
+}
+
+
+def _outcome(read, path):
+    try:
+        return "ok", np.asarray(read(path).values).tobytes()
+    except (ParseError, NonFiniteValue, TooFewObservations) as exc:
+        return type(exc).__name__, getattr(exc, "line_number", None)
+
+
+@pytest.mark.parametrize("name", sorted(INGEST_EQUIVALENCE_ROWS))
+def test_ingest_fast_path_matches_line_loop(tmp_path, name):
+    f = tmp_path / "a.txt"
+    f.write_bytes(INGEST_EQUIVALENCE_ROWS[name])
+    oracle = lambda p: OrderedSample.from_data(data_module._ingest_lines(p, "plain", 0))
+    assert _outcome(ingest, f) == _outcome(oracle, f)
+
+
+def test_ingest_equivalence_table_error_lines(tmp_path):
+    # The table above is only as good as the outcomes it reaches.
+    expected = {
+        "nan": ("NonFiniteValue", 3),
+        "overflow-to-inf": ("NonFiniteValue", 2),
+        "single-value": ("TooFewObservations", None),
+        "bad-token-past-first-chunk": ("ParseError", 200_001),
+        "nan-past-first-chunk": ("NonFiniteValue", 200_001),
+        "not-utf8": ("ParseError", 3),
+        "not-utf8-in-comment": ("ParseError", 3),
+    }
+    assert len(INGEST_EQUIVALENCE_ROWS["bad-token-past-first-chunk"]) > 1 << 20
+    for name, outcome in expected.items():
+        f = tmp_path / f"{name}.txt"
+        f.write_bytes(INGEST_EQUIVALENCE_ROWS[name])
+        assert _outcome(ingest, f) == outcome, name
+    f = tmp_path / "old-mac.txt"
+    f.write_bytes(INGEST_EQUIVALENCE_ROWS["old-mac-line-endings"])
+    assert ingest(f).values.tolist() == [3.0, 2.0, 1.0]
+
+
+def test_ingest_clean_plain_file_skips_line_loop(tmp_path, monkeypatch):
+    def fail(*args):
+        raise AssertionError("line loop used on a clean file")
+
+    monkeypatch.setattr(data_module, "_ingest_lines", fail)
+    f = tmp_path / "a.txt"
+    f.write_bytes(_PAST_FIRST_CHUNK)
+    s = ingest(f)
+    assert s.n == 200_000
+    assert s.values[0] == 199_999.25 and s.values[-1] == 0.25
 
 
 def test_serialize_roundtrip(tmp_path):

@@ -187,6 +187,92 @@ def test_analyze_missing_file_exit_code(tmp_path, capsys):
     assert "FileNotFound" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "fmt, content, line",
+    [
+        ("plain", b"1\n2\n\xff3\n4\n", 3),
+        ("csv-column", b"id,value\n0,1\n1,2\n2,\xff\n", 4),
+    ],
+)
+def test_analyze_non_utf8_input_exit_code(tmp_path, capsys, fmt, content, line):
+    f = tmp_path / "data.txt"
+    f.write_bytes(content)
+    code = run_cli(
+        "analyze", f, "--format", fmt, "--column", 1 if fmt == "csv-column" else 0,
+        "--plot", "qq", "--k", 2, "--eps", 0.01, "--outdir", tmp_path / "o",
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"ParseError: cannot parse line {line} (not valid UTF-8)\n"
+
+
+@pytest.mark.parametrize("threads", ["0", "-3", "two"])
+def test_threads_below_one_rejected(tmp_path, capsys, threads):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("simulate", "--dist", "pareto", "--xi", 0.5, "--n", 10, "--out", tmp_path / "s.txt",
+                "--threads", threads)
+    assert exc.value.code == 2
+    assert "argument --threads" in capsys.readouterr().err
+    assert not (tmp_path / "s.txt").exists()
+
+
+def test_run_batches_caps_workers(monkeypatch):
+    from tailband import parallel
+
+    created = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            created.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args):
+            return map(fn, args)
+
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(parallel.os, "cpu_count", lambda: 3)
+    square = lambda v: v * v
+    assert parallel.run_batches(square, [1, 2, 3, 4, 5], threads=64) == [1, 4, 9, 16, 25]
+    assert parallel.run_batches(square, [1, 2], threads=64) == [1, 4]
+    assert parallel.run_batches(square, [1, 2, 3, 4, 5], threads=2) == [1, 4, 9, 16, 25]
+    assert created == [3, 2, 2]
+    monkeypatch.setattr(parallel.os, "cpu_count", lambda: None)
+    assert parallel.run_batches(square, [1, 2, 3], threads=8) == [1, 4, 9]
+    assert created == [3, 2, 2]  # one CPU (or unknown): no pool
+
+
+def test_qq_analyze_loads_no_scipy(tmp_path):
+    import os
+    import subprocess
+    import sys
+
+    import tailband
+
+    f = tmp_path / "s.txt"
+    f.write_text("".join(f"{(i + 1) ** 0.5!r}\n" for i in range(2000)))
+    script = (
+        "import sys\n"
+        "import tailband.cli\n"
+        "argv = sys.argv[1:]\n"
+        "assert tailband.cli.main(argv) == 0\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(tailband.__file__).resolve().parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "analyze", str(f), "--plot", "qq", "--k", "200",
+         "--eps", "0.05", "--band", "--svg", "p.svg", "--outdir", str(tmp_path / "o")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    assert (tmp_path / "o" / "band.csv").exists()
+
+
 def test_analyze_me_band_heavy_shape_refusal(sample_file, tmp_path, capsys):
     code = run_cli(
         "analyze", sample_file, "--plot", "me", "--k", 300, "--eps", 0.1,
