@@ -120,71 +120,83 @@ def _parse_float(token: str, line_number: int) -> float:
 _CHUNK_CHARS = 1 << 20
 
 
-def _undecodable(line: str) -> bool:
-    """True when a line read with errors="surrogateescape" held bytes that
-    are not UTF-8 (each such byte decodes to a lone surrogate)."""
-    if line.isascii():
-        return False
-    try:
-        line.encode("utf-8")
-    except UnicodeEncodeError:
-        return True
-    return False
-
-
-def _ingest_lines(path: Path, format: str, column: int) -> list[float]:
-    """Line-by-line reader: the reference semantics of `ingest` and the only
-    source of its errors and line numbers."""
+def _parse_lines(lines: Iterable[str], format: str, column: int,
+                 first_line_number: int = 1) -> list[float]:
+    """The line loop: the reference semantics of `ingest` and the only
+    source of its errors and line numbers.  `lines` come from a file opened
+    with errors="surrogateescape", so a byte that is not UTF-8 reaches it as
+    a lone surrogate."""
     out: list[float] = []
     header_allowed = format == CSV_COLUMN
-    with path.open("r", encoding="utf-8", errors="surrogateescape") as fh:
-        for line_number, raw in enumerate(fh, start=1):
-            if _undecodable(raw):
-                raise ParseError(line_number, "not valid UTF-8")
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if format == PLAIN:
-                out.append(_parse_float(line, line_number))
-                continue
-            cells = line.split(",")
-            if column >= len(cells):
-                raise ParseError(line_number, f"no column {column}")
-            token = cells[column]
-            if header_allowed:
-                header_allowed = False
-                try:
-                    out.append(_parse_float(token, line_number))
-                except ParseError:
-                    continue  # header row
-            else:
+    for line_number, raw in enumerate(lines, start=first_line_number):
+        if not raw.isascii():
+            try:
+                raw.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ParseError(line_number, "not valid UTF-8") from None
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if format == PLAIN:
+            out.append(_parse_float(line, line_number))
+            continue
+        cells = line.split(",")
+        if column >= len(cells):
+            raise ParseError(line_number, f"no column {column}")
+        token = cells[column]
+        if header_allowed:
+            header_allowed = False
+            try:
                 out.append(_parse_float(token, line_number))
-    if len(out) < 2:
-        raise TooFewObservations(f"{path}: found {len(out)} usable values, need at least 2")
+            except ParseError:
+                continue  # header row
+        else:
+            out.append(_parse_float(token, line_number))
     return out
 
 
-def _ingest_plain_fast(path: Path) -> np.ndarray | None:
-    """Values of a plain file in which every line is a finite number.
+def _open_text(path: Path):
+    return path.open("r", encoding="utf-8", errors="surrogateescape")
 
-    Returns None when the file holds anything else (a comment, a blank
-    line, a bad token, a non-finite value, bytes that are not UTF-8) or
-    fewer than 2 values; the caller then re-reads it with `_ingest_lines`.
+
+def _require_two(count: int, path: Path) -> None:
+    if count < 2:
+        raise TooFewObservations(f"{path}: found {count} usable values, need at least 2")
+
+
+def _ingest_lines(path: Path, format: str, column: int) -> list[float]:
+    """Whole-file line loop; the oracle that `ingest` is tested against."""
+    with _open_text(path) as fh:
+        out = _parse_lines(fh, format, column)
+    _require_two(len(out), path)
+    return out
+
+
+def _read_plain(fh) -> array:
+    """Values of a plain file, read in chunks from one pass over `fh`.
+
+    Each chunk goes through float() into one array("d") buffer.  At the
+    first line float() rejects (a comment, a blank line, a bad token, bytes
+    that are not UTF-8), the rest of that chunk is handed to the line loop,
+    which skips the line or raises with its number, and the next chunk is
+    read fast again.  A non-finite value among the fast-parsed lines sends
+    those lines through the line loop, which raises at the first of them.
     """
     buf = array("d")
-    try:
-        with path.open("r", encoding="utf-8") as fh:
-            while True:
-                lines = fh.readlines(_CHUNK_CHARS)
-                if not lines:
-                    break
-                buf.extend(map(float, lines))
-    except ValueError:  # includes UnicodeDecodeError
-        return None
-    values = np.frombuffer(buf, dtype=float)
-    if values.size < 2 or not np.isfinite(values).all():
-        return None
-    return values
+    line_number = 1  # of the chunk's first line
+    while lines := fh.readlines(_CHUNK_CHARS):
+        start = len(buf)
+        try:
+            buf.extend(map(float, lines))
+        except ValueError:
+            pass  # array.extend keeps the values parsed before the failure
+        done = len(buf) - start
+        if not np.isfinite(np.frombuffer(buf, offset=8 * start)).all():
+            _parse_lines(lines[:done], PLAIN, 0, line_number)  # raises NonFiniteValue
+        if done < len(lines):
+            buf.extend(_parse_lines(lines[done:], PLAIN, 0, line_number + done))
+        line_number += len(lines)
+    return buf
 
 
 def ingest(path: str | Path, format: str = PLAIN, column: int = 0) -> OrderedSample:
@@ -196,28 +208,30 @@ def ingest(path: str | Path, format: str = PLAIN, column: int = 0) -> OrderedSam
     '.' is the decimal separator, scientific notation is accepted.  The file
     must be UTF-8; an undecodable line is a ParseError with its line number.
 
-    A plain file takes a fast path first: it is read in chunks of about
-    1 MiB of lines, each chunk is passed through float() into one
-    array("d") buffer, and the buffer is viewed as a numpy array without a
-    copy.  Reading in chunks keeps the peak memory to the 8 bytes per value
-    of the buffer: neither a list of the whole file's lines nor a list of
-    Python floats is ever built.  float() strips the same whitespace as the
-    line loop, so the values are bit-identical.  If any line is not a finite
-    number (a comment, a blank line, a bad token, nan/inf, bytes that are
-    not UTF-8), or fewer than 2 values are found, the file is read again by
+    The file is read in a single pass, so a pipe or FIFO works as well as a
+    regular file.  A plain file is read in chunks of about 1 MiB of lines,
+    each passed through float() into one array("d") buffer that is viewed as
+    a numpy array without a copy.  Reading in chunks keeps the peak memory
+    to the 8 bytes per value of the buffer: neither a list of the whole
+    file's lines nor a list of Python floats is ever built.  float() strips
+    the same whitespace as the line loop, so the values are bit-identical.
+    From the first line float() rejects, the rest of its chunk is parsed by
     the line loop, which is the single source of every error and line
-    number.  csv-column files always use the line loop.
+    number; a clean file never enters it.  csv-column files always use the
+    line loop.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(str(path))
     if format not in (PLAIN, CSV_COLUMN):
         raise ParseError(0, f"unknown format {format!r}")
-    if format == PLAIN:
-        values = _ingest_plain_fast(path)
-        if values is not None:
-            return OrderedSample.from_data(values)
-    return OrderedSample.from_data(_ingest_lines(path, format, column))
+    with _open_text(path) as fh:
+        if format == PLAIN:
+            values = np.frombuffer(_read_plain(fh), dtype=float)
+        else:
+            values = _parse_lines(fh, format, column)
+    _require_two(len(values), path)
+    return OrderedSample.from_data(values)
 
 
 def write_sample_file(sample: OrderedSample | np.ndarray, path: str | Path) -> None:

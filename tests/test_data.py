@@ -1,4 +1,6 @@
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -137,6 +139,11 @@ INGEST_EQUIVALENCE_ROWS = {
     "empty-file": b"",
     "bad-token": b"1\n2\nbogus\n",
     "bad-token-past-first-chunk": _PAST_FIRST_CHUNK + b"1x\n2\n",
+    "comment-past-first-chunk": _PAST_FIRST_CHUNK + b"# note\n7\n\n",
+    "comment-then-nan-past-first-chunk": _PAST_FIRST_CHUNK + b"# note\n7\ninf\n",
+    "nan-before-bad-token": b"1\nnan\n2\nbogus\n",
+    "nan-before-comment-then-bad-token": b"1\nnan\n# c\nbogus\n",
+    "sparse-blank-lines": b"".join(b"%d.5\n%s" % (i, b"\n" if i % 997 == 0 else b"") for i in range(150_000)),
     "nan-past-first-chunk": _PAST_FIRST_CHUNK + b"nan\n",
     "clean-past-first-chunk": _PAST_FIRST_CHUNK,
     "not-utf8": b"1\n2\n\xff3\n4\n",
@@ -169,6 +176,9 @@ def test_ingest_equivalence_table_error_lines(tmp_path):
         "single-value": ("TooFewObservations", None),
         "bad-token-past-first-chunk": ("ParseError", 200_001),
         "nan-past-first-chunk": ("NonFiniteValue", 200_001),
+        "comment-then-nan-past-first-chunk": ("NonFiniteValue", 200_003),
+        "nan-before-bad-token": ("NonFiniteValue", 2),
+        "nan-before-comment-then-bad-token": ("NonFiniteValue", 2),
         "not-utf8": ("ParseError", 3),
         "not-utf8-in-comment": ("ParseError", 3),
     }
@@ -182,16 +192,63 @@ def test_ingest_equivalence_table_error_lines(tmp_path):
     assert ingest(f).values.tolist() == [3.0, 2.0, 1.0]
 
 
-def test_ingest_clean_plain_file_skips_line_loop(tmp_path, monkeypatch):
-    def fail(*args):
-        raise AssertionError("line loop used on a clean file")
+def _count_line_loop_lines(monkeypatch):
+    seen = []
+    real = data_module._parse_lines
 
-    monkeypatch.setattr(data_module, "_ingest_lines", fail)
+    def counting(lines, *args):
+        lines = list(lines)
+        seen.append(len(lines))
+        return real(lines, *args)
+
+    monkeypatch.setattr(data_module, "_parse_lines", counting)
+    return seen
+
+
+def test_ingest_clean_plain_file_skips_line_loop(tmp_path, monkeypatch):
+    seen = _count_line_loop_lines(monkeypatch)
     f = tmp_path / "a.txt"
     f.write_bytes(_PAST_FIRST_CHUNK)
     s = ingest(f)
+    assert seen == []
     assert s.n == 200_000
     assert s.values[0] == 199_999.25 and s.values[-1] == 0.25
+
+
+def test_ingest_line_loop_sees_only_rest_of_failing_chunk(tmp_path, monkeypatch):
+    # A header comment and a trailing blank line each cost the line loop
+    # less than one chunk, never a second pass over the file.
+    seen = _count_line_loop_lines(monkeypatch)
+    f = tmp_path / "a.txt"
+    f.write_bytes(b"# header\n" + _PAST_FIRST_CHUNK + b"\n")
+    s = ingest(f)
+    assert s.n == 200_000
+    with f.open() as fh:
+        first_chunk = len(fh.readlines(data_module._CHUNK_CHARS))
+    assert first_chunk < 200_002
+    assert seen == [first_chunk, 1]
+
+
+def test_ingest_reads_a_fifo_in_one_pass(tmp_path):
+    # A pipe cannot be rewound: every line must be read exactly once.
+    fifo = tmp_path / "in.fifo"
+    os.mkfifo(fifo)
+    payload = b"# header\n1\n2\n3\n" + _PAST_FIRST_CHUNK + b"\n# end\n"
+
+    def write():
+        with open(fifo, "wb") as fh:
+            fh.write(payload)
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    try:
+        s = ingest(fifo)
+    finally:
+        writer.join(timeout=30)
+    assert s.n == 200_003
+    f = tmp_path / "a.txt"
+    f.write_bytes(payload)
+    assert s.values.tobytes() == ingest(f).values.tobytes()
 
 
 def test_serialize_roundtrip(tmp_path):
