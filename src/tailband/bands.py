@@ -42,7 +42,7 @@ from .limitsim import (
     QuantileEstimate,
     batch_quantile_std_error,
     bridge_functional_samples,
-    me_band_quantiles,
+    bridge_quantiles,
     qq_sup_quantile,
 )
 from .plotsets import ME, QQ, PlotConfig, PlotSet, me_set, qq_set
@@ -130,26 +130,8 @@ def qq_band(
     )
 
 
-def me_band(
-    sample: OrderedSample,
-    cfg: PlotConfig,
-    xi: TailIndexEstimate,
-    rng: RngStream | None = None,
-    n_paths: int = DEFAULT_PATHS,
-    grid_m: int = DEFAULT_GRID,
-    threads: int = 1,
-    bridge_quantiles: tuple[QuantileEstimate, QuantileEstimate] | None = None,
-    tilde_quantiles: tuple[QuantileEstimate, QuantileEstimate] | None = None,
-) -> ConfidenceBand:
-    """(1 - alpha) confidence band around the truncated ME plot.
-
-    Regime selection by the supplied estimate: xi_hat < 1/2 uses symmetric
-    bridge-functional rectangles; 1/2 < xi_hat < 1 uses the skewed
-    sum-over-max quantiles per point.  Precomputed quantiles can be injected
-    (bridge_quantiles / tilde_quantiles) to reuse simulations; otherwise the
-    needed ones are computed here (Monte Carlo needs `rng`).
-    """
-    s = xi.xi
+def _refuse_me_shape(s: float) -> None:
+    """Raise for the shapes that have no ME band."""
     if s <= 0:
         raise DomainError(f"ME band needs xi > 0, got {s}")
     if s >= 1:
@@ -158,20 +140,31 @@ def me_band(
         raise RegimeBoundary(
             f"xi_hat={s:.4f} inside [{_BOUNDARY_LO}, {_BOUNDARY_HI}]: boundary case has no band"
         )
+
+
+def me_band(
+    sample: OrderedSample,
+    cfg: PlotConfig,
+    xi: TailIndexEstimate,
+    bridge_quantiles: tuple[QuantileEstimate, QuantileEstimate | None],
+) -> ConfidenceBand:
+    """(1 - alpha) confidence band around the truncated ME plot.
+
+    bridge_quantiles is the (c, d) pair of bridge-functional quantiles at
+    level 1 - alpha/2, as limitsim.bridge_quantiles returns it.  Regime
+    selection by the supplied estimate: xi_hat < 1/2 uses symmetric c/d
+    rectangles; 1/2 < xi_hat < 1 uses c for the horizontal half-width (d may
+    be None) and the skewed sum-over-max quantiles per point.
+    """
+    s = xi.xi
+    _refuse_me_shape(s)
     base = me_set(sample, cfg, truncated=True)
     sqrt_k = math.sqrt(cfg.k)
     level = 1.0 - cfg.alpha
+    c, d = bridge_quantiles
+    half_x = np.full(len(base), c.value / sqrt_k)
     if s < 0.5:
-        if bridge_quantiles is None:
-            if rng is None:
-                raise DomainError("ME band Monte Carlo quantiles need an RngStream")
-            bridge_quantiles = me_band_quantiles(
-                s, cfg.eps, 1.0 - cfg.alpha / 2.0, n_paths, grid_m, rng, threads
-            )
-        c, d = bridge_quantiles
-        n = len(base)
-        half_x = np.full(n, c.value / sqrt_k)
-        half_y = np.full(n, d.value / sqrt_k)
+        half_y = np.full(len(base), d.value / sqrt_k)
         return ConfidenceBand(
             base=base,
             dx_lo=-half_x,
@@ -188,27 +181,15 @@ def me_band(
             "confidence bands above 99% are extremely wide in the infinite-variance regime",
             stacklevel=2,
         )
-    if bridge_quantiles is None:
-        if rng is None:
-            raise DomainError("ME band Monte Carlo quantiles need an RngStream")
-        from .limitsim import bridge_sup_quantile
-
-        c = bridge_sup_quantile(s, cfg.eps, 1.0 - cfg.alpha / 2.0, n_paths, grid_m, rng, threads)
-    else:
-        c = bridge_quantiles[0]
-    if tilde_quantiles is None:
-        spec = StableSpec(alpha=1.0 / s, skew=1.0, kind=SUM_OVER_MAX)
-        q_lo = limit_quantile(spec, cfg.alpha / 2.0, method="cf-inversion")
-        q_hi = limit_quantile(spec, 1.0 - cfg.alpha / 2.0, method="cf-inversion")
-    else:
-        q_lo, q_hi = tilde_quantiles
+    spec = StableSpec(alpha=1.0 / s, skew=1.0, kind=SUM_OVER_MAX)
+    q_lo = limit_quantile(spec, cfg.alpha / 2.0, method="cf-inversion")
+    q_hi = limit_quantile(spec, 1.0 - cfg.alpha / 2.0, method="cf-inversion")
     if not (q_lo.value < q_hi.value):
         raise DomainError("sum-over-max quantiles must be ordered")
     x_1 = sample.values[0]
     x_k = sample.values[cfg.k - 1]
     j = base.indices.astype(float)
     scale = x_1 / (j * x_k)
-    half_x = np.full(len(base), c.value / sqrt_k)
     return ConfidenceBand(
         base=base,
         dx_lo=-half_x,
@@ -219,6 +200,31 @@ def me_band(
         regime=REGIME_ME_GT_HALF,
         quantiles_used={"c": c, "tilde_lo": q_lo, "tilde_hi": q_hi, "xi_hat": s},
     )
+
+
+def me_bands(
+    sample: OrderedSample,
+    cfg: PlotConfig,
+    xi: TailIndexEstimate,
+    alphas,
+    rng: RngStream,
+    n_paths: int = DEFAULT_PATHS,
+    grid_m: int = DEFAULT_GRID,
+    threads: int = 1,
+) -> list[ConfidenceBand]:
+    """One ME band per miss probability in alphas (cfg.alpha is not used).
+
+    The shape is checked before any simulation; then one bridge path set
+    gives the quantiles at every level 1 - alpha/2, with the d-functional
+    only in the xi_hat < 1/2 regime that uses it.
+    """
+    _refuse_me_shape(xi.xi)
+    band_cfgs = [PlotConfig(cfg.k, cfg.eps, a) for a in alphas]
+    levels = [1.0 - band_cfg.alpha / 2.0 for band_cfg in band_cfgs]
+    quantiles = bridge_quantiles(
+        xi.xi, cfg.eps, levels, n_paths, grid_m, rng, threads, integral=xi.xi < 0.5
+    )
+    return [me_band(sample, band_cfg, xi, q) for band_cfg, q in zip(band_cfgs, quantiles)]
 
 
 # ---------------------------------------------------------------------------

@@ -72,21 +72,29 @@ class GilPelaezInverter:
             return float(out[0])
         return out
 
+    def _bracket(self, p_lo: float, p_hi: float) -> tuple[float, float]:
+        """Abscissae lo <= -1 and hi >= 1 with F(lo) <= p_lo and F(hi) >= p_hi,
+        each doubled from -1 or 1 until it holds, within [-x_max, x_max]."""
+        lo = -1.0
+        while self.cdf(lo) > p_lo:
+            lo *= 2.0
+            if lo < -self.x_max:
+                raise ConvergenceFailure(f"probability {p_lo} below resolved range (+-{self.x_max})")
+        hi = 1.0
+        while self.cdf(hi) < p_hi:
+            hi *= 2.0
+            if hi > self.x_max:
+                raise ConvergenceFailure(f"probability {p_hi} above resolved range (+-{self.x_max})")
+        return lo, hi
+
     def quantile(self, q: float, xtol: float = 1e-6) -> float:
-        """q-quantile by bracketing bisection of the inverted CDF."""
+        """q-quantile: a bracket doubled out from [-1, 1] until it holds q,
+        then Brent's method (scipy brentq) on the inverted CDF to xtol."""
         from scipy.optimize import brentq
 
         if not (0.0 < q < 1.0):
             raise DomainError(f"quantile level {q} outside (0,1)")
-        lo, hi = -1.0, 1.0
-        while self.cdf(lo) > q:
-            lo *= 2.0
-            if lo < -self.x_max:
-                raise ConvergenceFailure(f"quantile {q} below resolved range (+-{self.x_max})")
-        while self.cdf(hi) < q:
-            hi *= 2.0
-            if hi > self.x_max:
-                raise ConvergenceFailure(f"quantile {q} above resolved range (+-{self.x_max})")
+        lo, hi = self._bracket(q, q)
         return float(brentq(lambda v: self.cdf(v) - q, lo, hi, xtol=xtol))
 
     def quantile_curve(self, probs: np.ndarray, n_grid: int = 800) -> np.ndarray:
@@ -97,17 +105,7 @@ class GilPelaezInverter:
         chosen so interpolation error is far below the quadrature error).
         """
         probs = np.asarray(probs, dtype=float)
-        p_lo, p_hi = float(probs.min()), float(probs.max())
-        lo = -1.0
-        while self.cdf(lo) > p_lo:
-            lo *= 2.0
-            if lo < -self.x_max:
-                raise ConvergenceFailure(f"probability {p_lo} below resolved range")
-        hi = 1.0
-        while self.cdf(hi) < p_hi:
-            hi *= 2.0
-            if hi > self.x_max:
-                raise ConvergenceFailure(f"probability {p_hi} above resolved range")
+        lo, hi = self._bracket(float(probs.min()), float(probs.max()))
         xs = np.linspace(lo, hi, n_grid)
         cd = np.maximum.accumulate(np.asarray(self.cdf(xs)))
         return np.interp(probs, cd, xs)

@@ -18,10 +18,11 @@ import os
 import shlex
 import sys
 import traceback
+import warnings
 from pathlib import Path
 
 from . import __version__
-from .bands import CoverageDistribution, coverage_experiment, me_band, qq_band
+from .bands import CoverageDistribution, coverage_experiment, me_bands, qq_band
 from .data import FIXED, TailIndexEstimate, fixed_xi, hill_estimate, ingest, write_sample_file
 from .distributions import (
     SIMULATION,
@@ -35,12 +36,7 @@ from .distributions import (
     sample_stable,
 )
 from .errors import DomainError, TailbandError
-from .limitsim import (
-    QuantileEstimate,
-    bridge_sup_quantile,
-    me_band_quantiles,
-    qq_sup_quantile,
-)
+from .limitsim import QuantileEstimate, bridge_quantiles, qq_sup_quantile
 from .outputs import (
     MANIFEST_NAME,
     json_dumps,
@@ -56,25 +52,42 @@ from .rng import RngStream
 MULTI_ALPHAS = (0.01, 0.05, 0.10)
 
 
+def _int_arg(lo: int, hi: int | None = None):
+    """argparse type for an integer in [lo, hi); the parser exits 2 on anything else."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < lo or (hi is not None and value >= hi):
+            bound = f"at least {lo}" if hi is None else f"in [{lo}, {hi})"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+        return value
+
+    return parse
+
+
+_seed_arg = _int_arg(0, 2**64)
+
+
 def _default_seed() -> int:
-    return int(os.environ.get("TAILBAND_SEED", "0"))
-
-
-def _positive_int(text: str) -> int:
     try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+        return _seed_arg(os.environ.get("TAILBAND_SEED", "0"))
+    except argparse.ArgumentTypeError as exc:
+        raise DomainError(f"TAILBAND_SEED {exc}") from None
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=None, help="random seed (default: $TAILBAND_SEED or 0)")
+    p.add_argument(
+        "--seed",
+        type=_seed_arg,
+        default=None,
+        help="random seed, 0 <= seed < 2**64 (default: $TAILBAND_SEED or 0)",
+    )
     p.add_argument(
         "--threads",
-        type=_positive_int,
+        type=_int_arg(1),
         default=1,
         help="worker processes for Monte Carlo batches (capped at the batch and CPU counts)",
     )
@@ -97,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="plot construction and confidence bands")
     p.add_argument("input", help="sample file")
     p.add_argument("--format", choices=["plain", "csv-column"], default="plain")
-    p.add_argument("--column", type=int, default=0, help="0-based column for csv-column input")
+    p.add_argument("--column", type=_int_arg(0), default=0, help="0-based column for csv-column input")
     p.add_argument("--plot", choices=[QQ, ME], required=True)
     p.add_argument("--k", type=int, required=True, help="number of upper order statistics")
     p.add_argument("--eps", type=float, required=True, help="truncation level")
@@ -148,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _seed_of(args: argparse.Namespace) -> int:
-    return _default_seed() if args.seed is None else int(args.seed)
+    return _default_seed() if args.seed is None else args.seed
 
 
 def _command_line(argv: list[str]) -> str:
@@ -224,23 +237,11 @@ def cmd_analyze(args: argparse.Namespace, argv: list[str]) -> int:
         "xi_method": xi_est.method,
     }
     if args.band:
-        alphas = MULTI_ALPHAS if args.multi_alpha else (cfg.alpha,)
-        for a in sorted(alphas):
-            band_cfg = PlotConfig(cfg.k, cfg.eps, a)
-            if args.plot == QQ:
-                bands.append(qq_band(sample, band_cfg, xi_est))
-            else:
-                bands.append(
-                    me_band(
-                        sample,
-                        band_cfg,
-                        xi_est,
-                        rng=stream,
-                        n_paths=args.paths,
-                        grid_m=args.grid,
-                        threads=args.threads,
-                    )
-                )
+        alphas = sorted(MULTI_ALPHAS if args.multi_alpha else (cfg.alpha,))
+        if args.plot == QQ:
+            bands = [qq_band(sample, PlotConfig(cfg.k, cfg.eps, a), xi_est) for a in alphas]
+        else:
+            bands = me_bands(sample, cfg, xi_est, alphas, stream, args.paths, args.grid, args.threads)
         primary = next(b for b in bands if abs((1.0 - b.level) - cfg.alpha) < 1e-12)
         band_csv = outdir / "band.csv"
         write_band_csv(band_csv, primary)
@@ -330,10 +331,12 @@ def cmd_quantiles(args: argparse.Namespace, argv: list[str]) -> int:
     def compute(source: str) -> QuantileEstimate:
         if functional == "qq-sup":
             return qq_sup_quantile(args.level, args.eps)
-        if functional == "me-c":
-            return bridge_sup_quantile(args.xi, args.eps, args.level, paths, args.grid, stream, args.threads)
-        if functional == "me-d":
-            return me_band_quantiles(args.xi, args.eps, args.level, paths, args.grid, stream, args.threads)[1]
+        if functional in ("me-c", "me-d"):
+            [(c, d)] = bridge_quantiles(
+                args.xi, args.eps, [args.level], paths, args.grid, stream, args.threads,
+                integral=functional == "me-d",
+            )
+            return c if functional == "me-c" else d
         spec = StableSpec(alpha=1.0 / args.xi, skew=1.0, kind=SUM_OVER_MAX)
         return limit_quantile(spec, args.level, method=source, rng=stream, paths=paths)
 
@@ -423,6 +426,10 @@ def cmd_coverage(args: argparse.Namespace, argv: list[str]) -> int:
     return 0
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"{category.__name__}: {message}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
@@ -433,6 +440,9 @@ def main(argv: list[str] | None = None) -> int:
         "quantiles": cmd_quantiles,
         "coverage": cmd_coverage,
     }
+    # warnings are one-line diagnostics here, without the source line
+    saved_showwarning = warnings.showwarning
+    warnings.showwarning = _print_warning
     try:
         return handlers[args.command](args, argv)
     except FileNotFoundError as exc:
@@ -444,6 +454,8 @@ def main(argv: list[str] | None = None) -> int:
     except Exception:  # pragma: no cover - internal errors
         traceback.print_exc()
         return 1
+    finally:
+        warnings.showwarning = saved_showwarning
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ import numpy as np
 from . import cfinversion
 from .data import OrderedSample
 from .errors import ConvergenceFailure, DomainError, RegimeMismatch
-from .limitsim import QuantileEstimate, batch_quantile_std_error
+from .limitsim import QuantileEstimate
 from .rng import RngStream
 
 XI_ZERO_TOL = 1e-12
@@ -511,13 +511,14 @@ def _build_inverter(spec: StableSpec, x_max: float, tol: float = 3e-6) -> cfinve
     return inverter
 
 
-def _inverter_for_quantile(spec: StableSpec, q: float) -> tuple[cfinversion.GilPelaezInverter, float]:
-    x_max = 32.0
+def _solve_in_resolved_range(spec: StableSpec, x_max: float, solve):
+    """(inverter, solve(inverter)) for the first inverter of `spec`, starting
+    at x_max and growing it fourfold up to 2^22, whose resolved range holds
+    what solve looks for (solve raises ConvergenceFailure otherwise)."""
     while True:
         inv = _build_inverter(spec, x_max)
         try:
-            value = inv.quantile(q)
-            return inv, value
+            return inv, solve(inv)
         except ConvergenceFailure:
             x_max *= 4.0
             if x_max > 2.0**22:
@@ -535,15 +536,7 @@ def limit_quantile_curve(spec: StableSpec, probs) -> np.ndarray:
     probs = np.asarray(probs, dtype=float)
     if np.any((probs <= 0.0) | (probs >= 1.0)):
         raise DomainError("probabilities must lie strictly inside (0, 1)")
-    x_max = 64.0
-    while True:
-        inv = _build_inverter(spec, x_max)
-        try:
-            return inv.quantile_curve(probs)
-        except ConvergenceFailure:
-            x_max *= 4.0
-            if x_max > 2.0**22:
-                raise
+    return _solve_in_resolved_range(spec, 64.0, lambda inv: inv.quantile_curve(probs))[1]
 
 
 def limit_quantile(
@@ -567,7 +560,7 @@ def limit_quantile(
     if not (0.0 < q < 1.0):
         raise DomainError(f"quantile level must lie in (0,1), got {q}")
     if method == "cf-inversion":
-        inv, value = _inverter_for_quantile(spec, q)
+        inv, value = _solve_in_resolved_range(spec, 32.0, lambda inv: inv.quantile(q))
         h = 1e-3 * max(1.0, abs(value))
         density = max((inv.cdf(value + h) - inv.cdf(value - h)) / (2 * h), 1e-12)
         err = inv.cdf_abs_err / density + 1e-6
@@ -575,13 +568,5 @@ def limit_quantile(
     if method == "monte-carlo":
         if rng is None:
             raise DomainError("monte-carlo method needs an RngStream")
-        draws = _limit_law_draws(spec, paths, rng, mc_k, mc_n)
-        value = float(np.quantile(draws, q))
-        return QuantileEstimate(
-            value=value,
-            level=q,
-            source="monte-carlo",
-            std_error=batch_quantile_std_error(draws, q),
-            n_paths=paths,
-        )
+        return QuantileEstimate.from_samples(_limit_law_draws(spec, paths, rng, mc_k, mc_n), q)
     raise DomainError(f"unknown method {method!r}")

@@ -76,6 +76,20 @@ class QuantileEstimate:
         if self.source != "series" and not (self.std_error > 0.0):
             raise DomainError("stochastic/numerical quantiles need std_error > 0")
 
+    @classmethod
+    def from_samples(cls, samples, level: float, grid_m: int = 0) -> "QuantileEstimate":
+        """Type-7 empirical level-quantile of Monte Carlo draws, with its
+        10-batch standard error; n_paths is the number of draws."""
+        samples = np.asarray(samples, dtype=float)
+        return cls(
+            value=float(np.quantile(samples, level)),
+            level=level,
+            source="monte-carlo",
+            std_error=batch_quantile_std_error(samples, level),
+            n_paths=samples.size,
+            grid_m=grid_m,
+        )
+
     def as_dict(self) -> dict:
         return {
             "value": self.value,
@@ -358,78 +372,48 @@ def bridge_functional_samples(
     return c_all, d_all
 
 
-def me_band_quantiles(
+def bridge_quantiles(
     xi: float,
     eps: float,
-    level: float,
+    levels,
     n_paths: int = DEFAULT_PATHS,
     m: int = DEFAULT_GRID,
     rng: RngStream | None = None,
     threads: int = 1,
-) -> tuple[QuantileEstimate, QuantileEstimate]:
-    """Monte Carlo level-quantiles (c, d) of the two band functionals, xi < 1/2.
+    integral: bool = True,
+) -> list[tuple[QuantileEstimate, QuantileEstimate | None]]:
+    """Monte Carlo quantiles (c, d) of the two band functionals, one pair per level.
 
-    level is the quantile probability itself (a band at confidence 1 - a
-    uses level = 1 - a/2 for each functional).  Standard errors come from
-    10 path batches.
+    All levels are read off one simulated path set.  Each level is the
+    quantile probability itself (a band at confidence 1 - a uses
+    level = 1 - a/2 for each functional).  The c-functional is valid for any
+    0 < xi < 1.  With integral=True the d-functional is estimated as well,
+    which needs xi < 1/2 and at least 1000 paths and grid points; with
+    integral=False d is None.  Standard errors come from 10 path batches.
     """
-    if not (0.0 < xi < 0.5):
-        raise RegimeMismatch(f"me_band_quantiles needs 0 < xi < 1/2, got {xi}")
-    if n_paths < 1000:
+    if integral and not (0.0 < xi < 0.5):
+        raise RegimeMismatch(f"the d-functional needs 0 < xi < 1/2, got {xi}")
+    if not (0.0 < xi < 1.0):
+        raise RegimeMismatch(f"the c-functional needs 0 < xi < 1, got {xi}")
+    if integral and n_paths < 1000:
         raise DomainError("need at least 1000 paths")
-    if m < 1000:
+    if integral and m < 1000:
         raise DomainError("need grid size m >= 1000")
     if rng is None:
-        raise DomainError("me_band_quantiles needs an RngStream")
-    if not (0.0 < level < 1.0):
-        raise DomainError(f"level must lie in (0,1), got {level}")
+        raise DomainError("bridge_quantiles needs an RngStream")
+    for level in levels:
+        if not (0.0 < level < 1.0):
+            raise DomainError(f"level must lie in (0,1), got {level}")
     c_samples, d_samples = bridge_functional_samples(
-        [xi], eps, n_paths, m, rng, include_integral=True, threads=threads
+        [xi], eps, n_paths, m, rng, include_integral=integral, threads=threads
     )
-    c = QuantileEstimate(
-        value=float(np.quantile(c_samples[0], level)),
-        level=level,
-        source="monte-carlo",
-        std_error=batch_quantile_std_error(c_samples[0], level),
-        n_paths=n_paths,
-        grid_m=m,
-    )
-    d = QuantileEstimate(
-        value=float(np.quantile(d_samples[0], level)),
-        level=level,
-        source="monte-carlo",
-        std_error=batch_quantile_std_error(d_samples[0], level),
-        n_paths=n_paths,
-        grid_m=m,
-    )
-    return c, d
-
-
-def bridge_sup_quantile(
-    xi: float,
-    eps: float,
-    level: float,
-    n_paths: int = DEFAULT_PATHS,
-    m: int = DEFAULT_GRID,
-    rng: RngStream | None = None,
-    threads: int = 1,
-) -> QuantileEstimate:
-    """level-quantile of the c-functional alone; valid for any xi in (0, 1)."""
-    if not (0.0 < xi < 1.0):
-        raise RegimeMismatch(f"bridge_sup_quantile needs 0 < xi < 1, got {xi}")
-    if rng is None:
-        raise DomainError("bridge_sup_quantile needs an RngStream")
-    c_samples, _ = bridge_functional_samples(
-        [xi], eps, n_paths, m, rng, include_integral=False, threads=threads
-    )
-    return QuantileEstimate(
-        value=float(np.quantile(c_samples[0], level)),
-        level=level,
-        source="monte-carlo",
-        std_error=batch_quantile_std_error(c_samples[0], level),
-        n_paths=n_paths,
-        grid_m=m,
-    )
+    return [
+        (
+            QuantileEstimate.from_samples(c_samples[0], level, m),
+            QuantileEstimate.from_samples(d_samples[0], level, m) if integral else None,
+        )
+        for level in levels
+    ]
 
 
 # ---------------------------------------------------------------------------

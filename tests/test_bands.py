@@ -9,12 +9,13 @@ from tailband.bands import (
     CoverageDistribution,
     coverage_experiment,
     me_band,
+    me_bands,
     qq_band,
 )
 from tailband.data import OrderedSample, fixed_xi, hill_estimate
 from tailband.distributions import sample_pareto
 from tailband.errors import DomainError, MeanDoesNotExist, RegimeBoundary
-from tailband.limitsim import bridge_functional_samples, qq_sup_quantile
+from tailband.limitsim import QuantileEstimate, bridge_functional_samples, qq_sup_quantile
 from tailband.plotsets import PlotConfig, qq_set
 from tailband.rng import RngStream
 
@@ -71,8 +72,8 @@ def test_qq_band_contains_line_helper():
 
 def test_me_band_light_regime_shape():
     s = sample_pareto(0.25, 4000, RngStream(5))
-    band = me_band(
-        s, PlotConfig(500, 0.1, 0.05), hill_estimate(s, 500), rng=RngStream(6), n_paths=2000, grid_m=1024
+    [band] = me_bands(
+        s, PlotConfig(500, 0.1, 0.05), hill_estimate(s, 500), [0.05], RngStream(6), n_paths=2000, grid_m=1024
     )
     assert band.regime == "me-lt-half"
     assert np.all(band.dx_hi == -band.dx_lo)
@@ -83,8 +84,8 @@ def test_me_band_light_regime_shape():
 def test_me_band_determinism():
     s = sample_pareto(0.25, 4000, RngStream(5))
     args = dict(rng=RngStream(6), n_paths=2000, grid_m=1024)
-    b1 = me_band(s, PlotConfig(500, 0.1, 0.05), fixed_xi(0.25), **args)
-    b2 = me_band(s, PlotConfig(500, 0.1, 0.05), fixed_xi(0.25), **args)
+    [b1] = me_bands(s, PlotConfig(500, 0.1, 0.05), fixed_xi(0.25), [0.05], **args)
+    [b2] = me_bands(s, PlotConfig(500, 0.1, 0.05), fixed_xi(0.25), [0.05], **args)
     assert b1.dy_hi.tolist() == b2.dy_hi.tolist()
 
 
@@ -94,17 +95,8 @@ def test_me_band_nesting_same_paths():
     c_samp, d_samp = bridge_functional_samples([0.25], 0.1, 2000, 1024, RngStream(6))
     bands = {}
     for alpha in (0.01, 0.05):
-        from tailband.limitsim import QuantileEstimate, batch_quantile_std_error
-
         level = 1 - alpha / 2
-        mk = lambda arr: QuantileEstimate(
-            value=float(np.quantile(arr, level)),
-            level=level,
-            source="monte-carlo",
-            std_error=batch_quantile_std_error(arr, level),
-            n_paths=2000,
-            grid_m=1024,
-        )
+        mk = lambda arr: QuantileEstimate.from_samples(arr, level, grid_m=1024)
         bands[alpha] = me_band(
             s, PlotConfig(500, 0.1, alpha), xi, bridge_quantiles=(mk(c_samp[0]), mk(d_samp[0]))
         )
@@ -115,7 +107,7 @@ def test_me_band_nesting_same_paths():
 def test_me_band_heavy_regime():
     s = sample_pareto(0.7, 20_000, RngStream(7))
     cfg = PlotConfig(1000, 0.1, 0.05)
-    band = me_band(s, cfg, fixed_xi(0.7), rng=RngStream(8), n_paths=2000, grid_m=1024)
+    [band] = me_bands(s, cfg, fixed_xi(0.7), [cfg.alpha], RngStream(8), n_paths=2000, grid_m=1024)
     assert band.regime == "me-gt-half"
     # vertical interval shrinks like 1/j along the plot
     j = band.base.indices.astype(float)
@@ -130,20 +122,20 @@ def test_me_band_heavy_regime_99_warns():
     s = sample_pareto(0.7, 5000, RngStream(9))
     cfg = PlotConfig(500, 0.1, 0.01)
     with pytest.warns(UserWarning):
-        me_band(s, cfg, fixed_xi(0.7), rng=RngStream(10), n_paths=1000, grid_m=1024)
+        me_bands(s, cfg, fixed_xi(0.7), [cfg.alpha], RngStream(10), n_paths=1000, grid_m=1024)
 
 
 def test_me_band_regime_refusals():
     s = sample_pareto(0.25, 1000, RngStream(11))
     cfg = PlotConfig(200, 0.1, 0.05)
     with pytest.raises(RegimeBoundary):
-        me_band(s, cfg, fixed_xi(0.5), rng=RngStream(0))
+        me_bands(s, cfg, fixed_xi(0.5), [cfg.alpha], RngStream(0))
     with pytest.raises(RegimeBoundary):
-        me_band(s, cfg, fixed_xi(0.49), rng=RngStream(0))
+        me_bands(s, cfg, fixed_xi(0.49), [cfg.alpha], RngStream(0))
     with pytest.raises(MeanDoesNotExist, match="no ME band for xi>=1"):
-        me_band(s, cfg, fixed_xi(1.2), rng=RngStream(0))
+        me_bands(s, cfg, fixed_xi(1.2), [cfg.alpha], RngStream(0))
     with pytest.raises(DomainError):
-        me_band(s, cfg, fixed_xi(-0.2), rng=RngStream(0))
+        me_bands(s, cfg, fixed_xi(-0.2), [cfg.alpha], RngStream(0))
 
 
 def test_confidence_band_validation():

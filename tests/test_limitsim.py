@@ -11,11 +11,10 @@ from tailband.limitsim import (
     BridgePath,
     QuantileEstimate,
     bridge_functional_samples,
-    bridge_sup_quantile,
+    bridge_quantiles,
     cone_exit_probability,
     doob_band_probability,
     mc_cone_exit_probability,
-    me_band_quantiles,
     qq_sup_quantile,
     reflection_exit_probability,
     simulate_bridge,
@@ -232,21 +231,20 @@ def test_bridge_functional_small_shape_scaling():
 
 
 def test_me_band_quantiles_contract():
-    c, d = me_band_quantiles(0.25, 0.1, 0.975, n_paths=2000, m=1024, rng=RngStream(6))
+    (c, d), (c90, d90) = bridge_quantiles(0.25, 0.1, [0.975, 0.90], n_paths=2000, m=1024, rng=RngStream(6))
     assert c.source == d.source == "monte-carlo"
     assert c.std_error > 0 and d.std_error > 0
     assert c.n_paths == d.n_paths == 2000
-    c90, d90 = me_band_quantiles(0.25, 0.1, 0.90, n_paths=2000, m=1024, rng=RngStream(6))
     assert c90.value < c.value and d90.value < d.value  # monotone in level
 
 
 def test_me_band_quantiles_validation():
     with pytest.raises(RegimeMismatch):
-        me_band_quantiles(0.6, 0.1, 0.975, rng=RngStream(0))
+        bridge_quantiles(0.6, 0.1, [0.975], rng=RngStream(0))
     with pytest.raises(DomainError):
-        me_band_quantiles(0.25, 0.1, 0.975, n_paths=10, rng=RngStream(0))
+        bridge_quantiles(0.25, 0.1, [0.975], n_paths=10, rng=RngStream(0))
     with pytest.raises(DomainError):
-        me_band_quantiles(0.25, 0.1, 0.975, rng=None)
+        bridge_quantiles(0.25, 0.1, [0.975], rng=None)
 
 
 @pytest.mark.slow
@@ -255,18 +253,19 @@ def test_me_band_quantiles_run_to_run_stability():
     # relative; both agree within 3 combined standard errors (the d quantile's
     # own standard error at this path count is ~1.8%, so 2% is not a sound
     # bound for it)
-    a = me_band_quantiles(0.25, 0.1, 0.975, n_paths=10_000, m=4096, rng=RngStream(7, 1))
-    b = me_band_quantiles(0.25, 0.1, 0.975, n_paths=10_000, m=4096, rng=RngStream(7, 2))
+    [a] = bridge_quantiles(0.25, 0.1, [0.975], n_paths=10_000, m=4096, rng=RngStream(7, 1))
+    [b] = bridge_quantiles(0.25, 0.1, [0.975], n_paths=10_000, m=4096, rng=RngStream(7, 2))
     assert abs(a[0].value - b[0].value) / a[0].value < 0.02
     for x, y in zip(a, b):
         assert abs(x.value - y.value) <= 3 * math.hypot(x.std_error, y.std_error)
 
 
 def test_bridge_sup_quantile_valid_above_half():
-    q = bridge_sup_quantile(0.7, 0.1, 0.975, n_paths=2000, m=1024, rng=RngStream(8))
+    [(q, d)] = bridge_quantiles(0.7, 0.1, [0.975], n_paths=2000, m=1024, rng=RngStream(8), integral=False)
     assert q.value > 0
+    assert d is None
     with pytest.raises(RegimeMismatch):
-        bridge_sup_quantile(1.2, 0.1, 0.975, rng=RngStream(8))
+        bridge_quantiles(1.2, 0.1, [0.975], rng=RngStream(8), integral=False)
 
 
 # ---------------------------------------------------------------------------

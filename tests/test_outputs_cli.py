@@ -216,6 +216,44 @@ def test_threads_below_one_rejected(tmp_path, capsys, threads):
     assert not (tmp_path / "s.txt").exists()
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64), "1.5", "abc"])
+def test_seed_outside_range_rejected(tmp_path, capsys, seed):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("simulate", "--dist", "pareto", "--xi", 0.5, "--n", 10, "--out", tmp_path / "s.txt",
+                "--seed", seed)
+    assert exc.value.code == 2
+    assert "argument --seed" in capsys.readouterr().err
+    assert not (tmp_path / "s.txt").exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64), "1.5", "abc"])
+def test_env_seed_outside_range_refused(tmp_path, capsys, monkeypatch, seed):
+    monkeypatch.setenv("TAILBAND_SEED", seed)
+    assert run_cli("simulate", "--dist", "pareto", "--xi", 0.5, "--n", 10, "--out", tmp_path / "s.txt") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("DomainError: TAILBAND_SEED ") and err.count("\n") == 1
+    assert not (tmp_path / "s.txt").exists()
+
+
+def test_seed_range_ends_accepted(tmp_path, monkeypatch):
+    assert run_cli("simulate", "--dist", "pareto", "--xi", 0.5, "--n", 10, "--out", tmp_path / "a.txt",
+                   "--seed", 2**64 - 1) == 0
+    monkeypatch.setenv("TAILBAND_SEED", str(2**64 - 1))
+    assert run_cli("simulate", "--dist", "pareto", "--xi", 0.5, "--n", 10, "--out", tmp_path / "b.txt") == 0
+    assert read(tmp_path / "a.txt") == read(tmp_path / "b.txt")
+
+
+def test_negative_column_rejected(tmp_path, capsys):
+    f = tmp_path / "data.csv"
+    f.write_text("id,value\n0,8\n1,4\n2,2\n3,1\n")
+    with pytest.raises(SystemExit) as exc:
+        run_cli("analyze", f, "--format", "csv-column", "--column", -1,
+                "--plot", "qq", "--k", 2, "--eps", 0.01, "--outdir", tmp_path / "o")
+    assert exc.value.code == 2
+    assert "argument --column" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_run_batches_caps_workers(monkeypatch):
     from tailband import parallel
 
@@ -280,6 +318,68 @@ def test_analyze_me_band_heavy_shape_refusal(sample_file, tmp_path, capsys):
     )
     assert code == 2
     assert "MeanDoesNotExist: no ME band for xi>=1" in capsys.readouterr().err
+
+
+@pytest.fixture()
+def engine_calls(monkeypatch):
+    """Arguments of every call to the bridge path engine."""
+    from tailband import limitsim
+
+    calls = []
+    engine = limitsim.bridge_functional_samples
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return engine(*args, **kwargs)
+
+    monkeypatch.setattr(limitsim, "bridge_functional_samples", counting)
+    return calls
+
+
+@pytest.mark.parametrize("xi", [0.25, 0.7])
+def test_analyze_me_multi_alpha_draws_one_path_set(sample_file, tmp_path, engine_calls, xi):
+    bands = {}
+    for name, extra in (("single", []), ("multi", ["--multi-alpha"])):
+        engine_calls.clear()
+        out = tmp_path / name
+        code = run_cli(
+            "analyze", sample_file, "--plot", "me", "--k", 400, "--eps", 0.1, "--band", "--xi", xi,
+            "--paths", 1000, "--grid", 1024, "--seed", 3, "--outdir", out, *extra,
+        )
+        assert code == 0
+        assert len(engine_calls) == 1
+        bands[name] = read(out / "band.csv")
+    assert bands["multi"] == bands["single"]
+
+
+@pytest.mark.parametrize("xi, error", [(0.48, "RegimeBoundary"), (0.5, "RegimeBoundary"),
+                                       (0.52, "RegimeBoundary"), (1.0, "MeanDoesNotExist"),
+                                       (1.2, "MeanDoesNotExist")])
+def test_analyze_me_shape_refused_before_drawing(sample_file, tmp_path, capsys, engine_calls, xi, error):
+    code = run_cli(
+        "analyze", sample_file, "--plot", "me", "--k", 300, "--eps", 0.1, "--band", "--xi", xi,
+        "--multi-alpha", "--outdir", tmp_path / "o",
+    )
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"{error}: ")
+    assert engine_calls == []
+
+
+def test_analyze_warning_is_one_line(tmp_path, capsys):
+    import warnings
+
+    f = tmp_path / "heavy.txt"
+    run_cli("simulate", "--dist", "pareto", "--xi", "0.7", "--n", 5000, "--seed", 9, "--out", f)
+    hook = warnings.showwarning
+    code = run_cli(
+        "analyze", f, "--plot", "me", "--k", 500, "--eps", 0.1, "--band", "--xi", 0.7,
+        "--alpha", 0.01, "--paths", 1000, "--grid", 1024, "--seed", 10, "--outdir", tmp_path / "o",
+    )
+    assert code == 0
+    assert capsys.readouterr().err == (
+        "UserWarning: confidence bands above 99% are extremely wide in the infinite-variance regime\n"
+    )
+    assert warnings.showwarning is hook
 
 
 def test_analyze_conservative_xi(sample_file, tmp_path):
