@@ -14,6 +14,7 @@ command reproduces the outputs byte for byte.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import hashlib
 import os
 import shlex
 import sys
@@ -124,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FACTOR",
         help="inflate the estimated shape by FACTOR for band width",
     )
-    p.add_argument("--paths", type=int, default=10_000, help="Monte Carlo paths for ME quantiles")
+    p.add_argument("--paths", type=_int_arg(1), default=10_000, help="Monte Carlo paths for ME quantiles")
     p.add_argument("--grid", type=int, default=8192, help="bridge grid size")
     p.add_argument("--svg", default=None, metavar="FILE", help="also render an SVG")
     p.add_argument("--multi-alpha", action="store_true", help="shade bands at alpha 0.01/0.05/0.10")
@@ -136,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xi", type=float, default=None)
     p.add_argument("--eps", type=float, default=None)
     p.add_argument("--level", type=float, required=True, help="quantile probability")
-    p.add_argument("--paths", type=int, default=None, help="Monte Carlo replicates")
+    p.add_argument("--paths", type=_int_arg(1), default=None, help="Monte Carlo replicates")
     p.add_argument("--grid", type=int, default=8192)
     p.add_argument("--method", choices=["cf-inversion", "monte-carlo", "both"], default="cf-inversion")
     p.add_argument("--cache-dir", default=None)
@@ -153,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--replications", type=int, required=True)
-    p.add_argument("--paths", type=int, default=10_000)
+    p.add_argument("--paths", type=_int_arg(1), default=10_000)
     p.add_argument("--grid", type=int, default=8192)
     p.add_argument("--outdir", required=True)
     _add_common(p)
@@ -193,7 +194,7 @@ def cmd_simulate(args: argparse.Namespace, argv: list[str]) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     write_sample_file(sample, out)
     write_run_manifest(
-        Path(str(out) + ".manifest.json"), _command_line(argv), seed, inputs=[], outputs=[out]
+        Path(str(out) + ".manifest.json"), _command_line(argv), seed, inputs={}, outputs=[out]
     )
     return 0
 
@@ -205,7 +206,8 @@ def _quantile_payload(q: QuantileEstimate | float) -> dict | float:
 def cmd_analyze(args: argparse.Namespace, argv: list[str]) -> int:
     seed = _seed_of(args)
     stream = RngStream(seed)
-    sample = ingest(args.input, args.format, args.column)
+    input_sha256 = hashlib.sha256()
+    sample = ingest(args.input, args.format, args.column, digest=input_sha256)
     cfg = PlotConfig(args.k, args.eps, args.alpha)
     if args.xi is not None:
         xi_est = fixed_xi(args.xi)
@@ -264,11 +266,18 @@ def cmd_analyze(args: argparse.Namespace, argv: list[str]) -> int:
         written.append(svg_path)
 
     write_run_manifest(
-        outdir / MANIFEST_NAME, _command_line(argv), seed, inputs=[args.input], outputs=written
+        outdir / MANIFEST_NAME, _command_line(argv), seed,
+        inputs={args.input: input_sha256.hexdigest()}, outputs=written,
     )
     return 0
 
 
+# Numerics revision of cached quantiles.  It is part of the cache file's name,
+# so rows computed by older numerics are never read: bump it whenever the
+# numerics behind a cached value change.  Revision 2 sums the Gil-Pelaez CDF
+# in two rotor stages and bisects it; revision 1 (the untagged
+# quantile_cache.csv) took one exponential per node and scipy's brentq.
+_CACHE_NUMERICS = 2
 _CACHE_HEADER = "functional,xi,eps,level,paths,grid,seed,source,value,std_error,n_paths,grid_m"
 
 
@@ -326,7 +335,7 @@ def cmd_quantiles(args: argparse.Namespace, argv: list[str]) -> int:
     if args.cache_dir is not None:
         cache_dir = Path(args.cache_dir)
         cache_dir.mkdir(parents=True, exist_ok=True)
-        cache_file = cache_dir / "quantile_cache.csv"
+        cache_file = cache_dir / f"quantile_cache.v{_CACHE_NUMERICS}.csv"
 
     def compute(source: str) -> QuantileEstimate:
         if functional == "qq-sup":
@@ -377,7 +386,7 @@ def cmd_quantiles(args: argparse.Namespace, argv: list[str]) -> int:
         out.parent.mkdir(parents=True, exist_ok=True)
         out.write_text(text, encoding="utf-8", newline="\n")
         write_run_manifest(
-            Path(str(out) + ".manifest.json"), _command_line(argv), seed, inputs=[], outputs=[out]
+            Path(str(out) + ".manifest.json"), _command_line(argv), seed, inputs={}, outputs=[out]
         )
     return 0
 
@@ -420,7 +429,7 @@ def cmd_coverage(args: argparse.Namespace, argv: list[str]) -> int:
     report_path = outdir / "report.json"
     write_json(report_path, report)
     write_run_manifest(
-        outdir / MANIFEST_NAME, _command_line(argv), seed, inputs=[], outputs=[report_path]
+        outdir / MANIFEST_NAME, _command_line(argv), seed, inputs={}, outputs=[report_path]
     )
     sys.stdout.write(json_dumps({"coverage": result.coverage, "report": str(report_path)}))
     return 0

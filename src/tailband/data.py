@@ -7,6 +7,7 @@ order statistics.
 """
 from __future__ import annotations
 
+import io
 import math
 from array import array
 from dataclasses import dataclass
@@ -155,8 +156,34 @@ def _parse_lines(lines: Iterable[str], format: str, column: int,
     return out
 
 
-def _open_text(path: Path):
-    return path.open("r", encoding="utf-8", errors="surrogateescape")
+class _HashingReader(io.RawIOBase):
+    """Raw binary layer that feeds every byte it reads to a hash object."""
+
+    def __init__(self, raw, digest):
+        self._raw = raw
+        self._digest = digest
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, b) -> int:
+        n = self._raw.readinto(b)
+        if n:
+            self._digest.update(memoryview(b)[:n])
+        return n
+
+    def close(self) -> None:
+        self._raw.close()
+        super().close()
+
+
+def _open_text(path: Path, digest=None):
+    """`path` as UTF-8 text; with a hash object `digest`, every byte read
+    through the returned file is also fed to it."""
+    if digest is None:
+        return path.open("r", encoding="utf-8", errors="surrogateescape")
+    raw = _HashingReader(path.open("rb", buffering=0), digest)
+    return io.TextIOWrapper(io.BufferedReader(raw, _CHUNK_CHARS), encoding="utf-8", errors="surrogateescape")
 
 
 def _require_two(count: int, path: Path) -> None:
@@ -181,10 +208,19 @@ def _read_plain(fh) -> array:
     which skips the line or raises with its number, and the next chunk is
     read fast again.  A non-finite value among the fast-parsed lines sends
     those lines through the line loop, which raises at the first of them.
+
+    A chunk holds the lines fh.readlines(_CHUNK_CHARS) would return: the
+    text of fh.read(_CHUNK_CHARS) completed by fh.readline(), split at the
+    (already translated) newlines.  Reading text in bulk keeps the text
+    layer's per-line overhead off the loop, which matters when fh reads
+    through a Python-level raw layer such as `_HashingReader`.
     """
     buf = array("d")
     line_number = 1  # of the chunk's first line
-    while lines := fh.readlines(_CHUNK_CHARS):
+    while text := fh.read(_CHUNK_CHARS):
+        lines = (text + fh.readline()).split("\n")
+        if not lines[-1]:
+            lines.pop()  # the text ends with a newline
         start = len(buf)
         try:
             buf.extend(map(float, lines))
@@ -199,7 +235,7 @@ def _read_plain(fh) -> array:
     return buf
 
 
-def ingest(path: str | Path, format: str = PLAIN, column: int = 0) -> OrderedSample:
+def ingest(path: str | Path, format: str = PLAIN, column: int = 0, digest=None) -> OrderedSample:
     """Read a univariate sample from a text file.
 
     plain format: one number per line.  csv-column format: comma-separated
@@ -219,13 +255,17 @@ def ingest(path: str | Path, format: str = PLAIN, column: int = 0) -> OrderedSam
     the line loop, which is the single source of every error and line
     number; a clean file never enters it.  csv-column files always use the
     line loop.
+
+    With a hashlib object `digest`, the bytes of the file are fed to it as
+    they are read, so the caller gets the input's hash without opening it a
+    second time (which a FIFO or a process substitution would not allow).
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(str(path))
     if format not in (PLAIN, CSV_COLUMN):
         raise ParseError(0, f"unknown format {format!r}")
-    with _open_text(path) as fh:
+    with _open_text(path, digest) as fh:
         if format == PLAIN:
             values = np.frombuffer(_read_plain(fh), dtype=float)
         else:

@@ -15,7 +15,7 @@ quantiles drive the heavy-regime mean-excess bands:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -30,12 +30,10 @@ XI_ZERO_TOL = 1e-12
 
 
 def _gamma_fn(x: float) -> float:
-    """scipy.special.gamma, imported on first use so that simulation and the
-    QQ path never load scipy.  math.gamma is not a drop-in: it differs by up
-    to 1 ulp on (0, 2), which moves the heavy-regime band quantiles."""
-    from scipy.special import gamma
-
-    return gamma(x)
+    """Gamma function, math.gamma from the standard library, so that no
+    path loads scipy for it.  On (0, 2), where the limit-law scales evaluate
+    it, it agrees with scipy.special.gamma to about 1 ulp."""
+    return math.gamma(x)
 
 
 # ---------------------------------------------------------------------------
@@ -478,14 +476,30 @@ def _limit_law_draws(spec: StableSpec, size: int, rng: RngStream, mc_k: int, mc_
 # quantiles of the limit laws
 # ---------------------------------------------------------------------------
 
-_INVERTER_CACHE: dict[tuple, cfinversion.GilPelaezInverter] = {}
+_INVERTER_TOL = 3e-6  # a-priori CDF error bound of every limit-law inverter
 
 
-def _build_inverter(spec: StableSpec, x_max: float, tol: float = 3e-6) -> cfinversion.GilPelaezInverter:
-    key = (spec.kind, round(spec.alpha, 12), round(spec.skew, 12), float(x_max))
-    cached = _INVERTER_CACHE.get(key)
-    if cached is not None:
-        return cached
+@dataclass(frozen=True)
+class _InverterKey:
+    """Cache key of `_build_inverter`: laws whose alpha and skew agree to 12
+    decimals share one inverter, built from the spec that came first."""
+
+    kind: str
+    alpha: float
+    skew: float
+    x_max: float
+    spec: StableSpec = field(compare=False)
+
+    @classmethod
+    def of(cls, spec: StableSpec, x_max: float) -> "_InverterKey":
+        return cls(spec.kind, round(spec.alpha, 12), round(spec.skew, 12), float(x_max), spec)
+
+
+@lru_cache(maxsize=8)
+def _build_inverter(key: _InverterKey) -> cfinversion.GilPelaezInverter:
+    """The CF inverter of key.spec resolving |x| <= key.x_max; the last few
+    are kept, since each law is inverted at several levels."""
+    spec, x_max, tol = key.spec, key.x_max, _INVERTER_TOL
     if spec.kind == SUM_OVER_MAX:
         a = spec.alpha
         c_inf = abs(_gamma_fn(2.0 - a) / (a * (a - 1.0)))  # |Gamma(-a)|
@@ -506,9 +520,7 @@ def _build_inverter(spec: StableSpec, x_max: float, tol: float = 3e-6) -> cfinve
         t_max = max(8.0, (math.log(1.0 / (math.pi * tol)) / c) ** (1.0 / spec.alpha))
         cf = lambda nodes: limit_cf(spec, nodes)
         slack = c * tan_half * spec.alpha * t_max ** max(0.0, spec.alpha - 1.0) + math.log(t_max) + 2.0
-    inverter = cfinversion.GilPelaezInverter.from_cf(cf, t_max, x_max, tail_err=tol, phase_slack=slack)
-    _INVERTER_CACHE[key] = inverter
-    return inverter
+    return cfinversion.GilPelaezInverter.from_cf(cf, t_max, x_max, tail_err=tol, phase_slack=slack)
 
 
 def _solve_in_resolved_range(spec: StableSpec, x_max: float, solve):
@@ -516,7 +528,7 @@ def _solve_in_resolved_range(spec: StableSpec, x_max: float, solve):
     at x_max and growing it fourfold up to 2^22, whose resolved range holds
     what solve looks for (solve raises ConvergenceFailure otherwise)."""
     while True:
-        inv = _build_inverter(spec, x_max)
+        inv = _build_inverter(_InverterKey.of(spec, x_max))
         try:
             return inv, solve(inv)
         except ConvergenceFailure:
@@ -550,9 +562,10 @@ def limit_quantile(
 ) -> QuantileEstimate:
     """q-quantile of a limit law, by CF inversion or Monte Carlo.
 
-    cf-inversion is deterministic: Gil-Pelaez CDF plus bracketing root-find
-    (1e-6 on the abscissa); its std_error field reports the numerical error
-    estimate (CDF quadrature error divided by the local density).
+    cf-inversion is deterministic: the Gil-Pelaez CDF (two-stage panel sum,
+    see cfinversion) bisected to 1e-6 on the abscissa, with no scipy
+    involved; its std_error field reports the numerical error estimate (CDF
+    quadrature error divided by the local density, plus the 1e-6).
     monte-carlo draws `paths` replicates (for the sum-over-max law: the
     finite-n statistic with parameters mc_k, mc_n) and reports the type-7
     empirical quantile with a 10-batch standard error.

@@ -16,7 +16,8 @@ Two closed forms do the analytic work:
 
 The Gaussian cdf in the series is `_ndtr`, 0.5 * erfc(-x/sqrt 2) from the
 standard library's math.erfc, and `qq_sup_quantile` inverts the series by
-plain bisection, so the QQ band never loads scipy.
+plain bisection (`bisect`, which also inverts the Gil-Pelaez CDF), so the
+QQ band never loads scipy.
 
 Everything Monte Carlo is driven by RngStream batches so results are
 reproducible bit-for-bit at any worker count.
@@ -215,6 +216,19 @@ def doob_band_probability(
     return min(1.0, max(0.0, 1.0 - float(np.sum(total))))
 
 
+def bisect(root_is_above, lo: float, hi: float, xtol: float) -> float:
+    """Bisection of the bracket [lo, hi]: halve it, keeping the upper half
+    where root_is_above(mid) holds and the lower half otherwise, until it is
+    at most xtol wide, and return its midpoint."""
+    while hi - lo > xtol:
+        mid = 0.5 * (lo + hi)
+        if root_is_above(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def qq_sup_quantile(level: float, eps: float, terms: int = 15) -> QuantileEstimate:
     """level-quantile of sup_{t >= delta} |W(t)|/t with delta = eps/(1-eps).
 
@@ -250,14 +264,7 @@ def qq_sup_quantile(level: float, eps: float, terms: int = 15) -> QuantileEstima
     else:
         raise ConvergenceFailure("failed to bracket the quantile")
     # The exit probability falls as x grows: prob_at_x(lo) >= target > prob_at_x(hi).
-    lo, hi = x_lo, x_hi
-    while hi - lo > 1e-13:
-        mid = 0.5 * (lo + hi)
-        if prob_at_x(mid) >= target:
-            lo = mid
-        else:
-            hi = mid
-    x_star = 0.5 * (lo + hi)
+    x_star = bisect(lambda x: prob_at_x(x) >= target, x_lo, x_hi, 1e-13)
     if abs(prob_at_x(x_star) - target) > 1e-8:
         raise ConvergenceFailure("root-find did not reach probability tolerance")
     return QuantileEstimate(value=x_star / sqrt_d, level=level, source="series")

@@ -10,7 +10,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -84,13 +84,16 @@ def write_run_manifest(
     path: str | Path,
     command: str,
     seed: int,
-    inputs: Sequence[str | Path],
+    inputs: Mapping[str, str],
     outputs: Sequence[str | Path],
 ) -> Path:
+    """Write the manifest of one run.  `inputs` maps each input path to the
+    sha256 of the bytes the run read from it (inputs are not opened again:
+    a FIFO could not be); outputs are hashed from the written files."""
     manifest = RunManifest(
         command=command,
         seed=int(seed),
-        inputs={str(p): file_sha256(p) for p in inputs},
+        inputs=dict(inputs),
         outputs={str(p): file_sha256(p) for p in outputs},
     )
     path = Path(path)

@@ -1,4 +1,5 @@
 import math
+import statistics
 import warnings
 
 import numpy as np
@@ -12,6 +13,8 @@ from tailband.distributions import (
     SUM_OVER_MAX,
     GpdParams,
     StableSpec,
+    _build_inverter,
+    _InverterKey,
     _limit_law_draws,
     alpha_one_cf,
     centered_sum_scale,
@@ -353,3 +356,61 @@ def test_sum_over_max_quantile_cross_method():
             spec, level, method="monte-carlo", rng=RngStream(15), paths=30_000, mc_k=16_000, mc_n=16 * 10**7
         )
         assert abs(q_cf.value - q_mc.value) <= 3 * q_mc.std_error + bias_budget
+
+
+# ---------------------------------------------------------------------------
+# Gil-Pelaez inverter
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        StableSpec(alpha=1.0 / 0.55, skew=1.0, kind=SUM_OVER_MAX),
+        StableSpec(alpha=1.0 / 0.7, skew=1.0, kind=SUM_OVER_MAX),
+        StableSpec(alpha=1.0 / 0.9, skew=1.0, kind=SUM_OVER_MAX),
+        StableSpec(alpha=2.0, skew=0.0, kind=SIMULATION),
+        StableSpec(alpha=1.0, skew=1.0, kind=ALPHA_ONE),
+    ],
+    ids=["som-0.55", "som-0.7", "som-0.9", "gaussian", "alpha-one"],
+)
+def test_inverter_cdf_matches_dense_sum(spec):
+    # The two-stage panel sum is the dense quadrature sum, reordered.
+    inv = _build_inverter(_InverterKey.of(spec, 32.0))
+    xs = np.linspace(-inv.x_max, inv.x_max, 33)
+    dense = np.array([0.5 - (np.exp(-1j * np.outer([x], inv.nodes)) @ inv.kernel).imag[0] / np.pi for x in xs])
+    assert np.max(np.abs(inv.cdf(xs) - dense)) <= 1e-12
+    assert all(inv.cdf(float(x)) == pytest.approx(d, abs=1e-12) for x, d in zip(xs[::8], dense[::8]))
+
+
+def test_inverter_nodes_factor_into_panels():
+    inv = _build_inverter(_InverterKey.of(StableSpec(alpha=1.0 / 0.55, skew=1.0, kind=SUM_OVER_MAX), 32.0))
+    p = np.arange(inv.n_panels)
+    assert np.array_equal(inv.nodes, (p[:, None] * inv.panel_width + inv.offsets[None, :]).ravel())
+    assert np.all(np.diff(inv.nodes) > 0)
+
+
+@pytest.mark.parametrize("q", [0.005, 0.05, 0.3, 0.5, 0.9, 0.975, 0.995])
+def test_limit_quantile_gaussian_matches_normal_dist(q):
+    # the simulation law at alpha = 2 is N(0, 2)
+    est = limit_quantile(StableSpec(alpha=2.0, skew=0.0, kind=SIMULATION), q, method="cf-inversion")
+    exact = statistics.NormalDist(0.0, math.sqrt(2.0)).inv_cdf(q)
+    assert abs(est.value - exact) <= est.std_error
+
+
+def test_quantile_curve_matches_pointwise_quantile():
+    # On a grid fine enough that linear interpolation is exact to well under
+    # xtol, the vectorised curve and per-point bisection agree within xtol.
+    inv = _build_inverter(_InverterKey.of(StableSpec(alpha=2.0, skew=0.0, kind=SIMULATION), 32.0))
+    probs = np.array([0.005, 0.05, 0.3, 0.5, 0.9, 0.975, 0.995])
+    xtol = 1e-6
+    curve = inv.quantile_curve(probs, n_grid=20_000)
+    pointwise = np.array([inv.quantile(q, xtol=xtol) for q in probs])
+    assert np.max(np.abs(curve - pointwise)) <= xtol
+
+
+def test_inverter_cache_is_bounded_and_keeps_rounding():
+    spec = StableSpec(alpha=1.0 / 0.55, skew=1.0, kind=SUM_OVER_MAX)
+    twin = StableSpec(alpha=spec.alpha * (1.0 + 1e-15), skew=1.0, kind=SUM_OVER_MAX)
+    assert twin.alpha != spec.alpha
+    assert _build_inverter(_InverterKey.of(twin, 32.0)) is _build_inverter(_InverterKey.of(spec, 32.0))
+    assert _build_inverter.cache_info().maxsize is not None

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -254,6 +255,74 @@ def test_negative_column_rejected(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+_PATHS_COMMANDS = {
+    "analyze": ["analyze", "{f}", "--plot", "me", "--k", "300", "--eps", "0.1", "--band", "--xi", "0.7",
+                "--outdir", "{o}"],
+    "quantiles": ["quantiles", "--functional", "me-c", "--xi", "0.25", "--eps", "0.1", "--level", "0.975",
+                  "--out", "{o}/q.json"],
+    "coverage": ["coverage", "--xi", "0.25", "--n", "1500", "--k", "200", "--eps", "0.05",
+                 "--replications", "2", "--outdir", "{o}"],
+}
+
+
+@pytest.mark.parametrize("paths", ["0", "-5"])
+@pytest.mark.parametrize("command", sorted(_PATHS_COMMANDS))
+def test_paths_below_one_rejected(tmp_path, capsys, command, paths):
+    f = tmp_path / "s.txt"
+    f.write_text("".join(f"{(i + 1) ** 0.7!r}\n" for i in range(2000)))
+    argv = [a.format(f=f, o=tmp_path / "o") for a in _PATHS_COMMANDS[command]]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, "--paths", paths)
+    assert exc.value.code == 2
+    assert "argument --paths" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_analyze_fifo_manifest_hashes_bytes_read(tmp_path):
+    # The manifest hashes the input as it is read: a FIFO cannot be opened a
+    # second time, and the bytes recorded are the bytes analysed.
+    import os
+    import subprocess
+    import sys
+    import threading
+
+    import tailband
+
+    payload = "".join(f"{(i + 1) ** 0.5!r}\n" for i in range(2000)).encode()
+    fifo = tmp_path / "in.fifo"
+    os.mkfifo(fifo)
+
+    def write():
+        try:
+            with open(fifo, "wb") as fh:
+                fh.write(payload)
+        except OSError:
+            pass  # the reader went away
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    env = dict(os.environ, PYTHONPATH=str(Path(tailband.__file__).resolve().parent.parent))
+    argv = ["analyze", str(fifo), "--plot", "qq", "--k", "200", "--eps", "0.05", "--outdir"]
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "tailband.cli", *argv, str(tmp_path / "o")],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+    finally:
+        if writer.is_alive():  # unblock a writer whose reader never came
+            os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert proc.returncode == 0, proc.stderr
+    manifest = json.loads((tmp_path / "o" / "run_manifest.json").read_text())
+    assert manifest["inputs"] == {str(fifo): hashlib.sha256(payload).hexdigest()}
+    regular = tmp_path / "in.txt"
+    regular.write_bytes(payload)
+    assert run_cli(*argv[:1], regular, *argv[2:], tmp_path / "r") == 0
+    assert read(tmp_path / "r" / "plot.csv") == read(tmp_path / "o" / "plot.csv")
+    assert json.loads(read(tmp_path / "r" / "run_manifest.json"))["inputs"] == {str(regular): file_sha256(regular)}
+
+
 def test_run_batches_caps_workers(monkeypatch):
     from tailband import parallel
 
@@ -284,15 +353,14 @@ def test_run_batches_caps_workers(monkeypatch):
     assert created == [3, 2, 2]  # one CPU (or unknown): no pool
 
 
-def test_qq_analyze_loads_no_scipy(tmp_path):
+def _scipy_modules_after(argv, tmp_path):
+    """scipy modules loaded by one `tailband` command in a fresh interpreter."""
     import os
     import subprocess
     import sys
 
     import tailband
 
-    f = tmp_path / "s.txt"
-    f.write_text("".join(f"{(i + 1) ** 0.5!r}\n" for i in range(2000)))
     script = (
         "import sys\n"
         "import tailband.cli\n"
@@ -302,13 +370,33 @@ def test_qq_analyze_loads_no_scipy(tmp_path):
     )
     env = dict(os.environ, PYTHONPATH=str(Path(tailband.__file__).resolve().parent.parent))
     proc = subprocess.run(
-        [sys.executable, "-c", script, "analyze", str(f), "--plot", "qq", "--k", "200",
-         "--eps", "0.05", "--band", "--svg", "p.svg", "--outdir", str(tmp_path / "o")],
-        env=env, capture_output=True, text=True, timeout=120,
+        [sys.executable, "-c", script, *map(str, argv)],
+        env=env, capture_output=True, text=True, timeout=120, cwd=tmp_path,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip().splitlines()[-1]
+
+
+def test_qq_analyze_loads_no_scipy(tmp_path):
+    f = tmp_path / "s.txt"
+    f.write_text("".join(f"{(i + 1) ** 0.5!r}\n" for i in range(2000)))
+    argv = ["analyze", f, "--plot", "qq", "--k", "200", "--eps", "0.05", "--band", "--svg", "p.svg",
+            "--outdir", tmp_path / "o"]
+    assert _scipy_modules_after(argv, tmp_path) == "[]"
     assert (tmp_path / "o" / "band.csv").exists()
+
+
+def test_heavy_me_analyze_and_stilde_load_no_scipy(tmp_path):
+    f = tmp_path / "s.txt"
+    assert run_cli("simulate", "--dist", "pareto", "--xi", 0.7, "--n", 4000, "--seed", 5, "--out", f) == 0
+    argv = ["analyze", f, "--plot", "me", "--k", 300, "--eps", 0.1, "--band", "--xi", 0.7,
+            "--paths", 1000, "--grid", 1024, "--outdir", tmp_path / "o"]
+    assert _scipy_modules_after(argv, tmp_path) == "[]"
+    meta = json.loads((tmp_path / "o" / "meta.json").read_text())
+    assert meta["regime"] == "me-gt-half"
+    assert meta["quantiles"]["tilde_hi"]["source"] == "cf-inversion"
+    argv = ["quantiles", "--functional", "stilde", "--xi", 0.7, "--level", 0.975]
+    assert _scipy_modules_after(argv, tmp_path) == "[]"
 
 
 def test_analyze_me_band_heavy_shape_refusal(sample_file, tmp_path, capsys):
@@ -426,6 +514,27 @@ def test_quantiles_cache_hit(tmp_path, capsys):
     args[args.index("--level") + 1] = 0.9
     assert run_cli(*args) == 0
     assert json.loads(capsys.readouterr().out)["cache_hit"] is False
+
+
+def test_quantiles_cache_misses_rows_of_older_numerics(tmp_path, capsys):
+    # A row written by the previous numerics (untagged quantile_cache.csv,
+    # brentq on the per-node sum) must never be served.
+    old = tmp_path / "quantile_cache.csv"
+    old.write_text(
+        "functional,xi,eps,level,paths,grid,seed,source,value,std_error,n_paths,grid_m\n"
+        "stilde,0.5500,,0.975,100000,8192,0,cf-inversion,99.0,0.001,0,0\n"
+    )
+    args = ["quantiles", "--functional", "stilde", "--xi", 0.55, "--level", 0.975, "--seed", 0,
+            "--cache-dir", tmp_path]
+    assert run_cli(*args) == 0
+    first = json.loads(capsys.readouterr().out)
+    assert first["cache_hit"] is False
+    assert first["estimates"][0]["value"] != 99.0
+    assert run_cli(*args) == 0
+    second = json.loads(capsys.readouterr().out)
+    assert second["cache_hit"] is True
+    assert second["estimates"] == first["estimates"]
+    assert old.read_text().count("\n") == 2  # the old file is left alone
 
 
 def test_quantiles_stilde_both_methods(capsys):
