@@ -11,6 +11,7 @@ import io
 import math
 from array import array
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Iterable
 
@@ -116,8 +117,8 @@ def _parse_float(token: str, line_number: int) -> float:
     return value
 
 
-# Characters per readlines() call on the plain-format fast path: big enough
-# to amortise the call, small enough that no whole-file line list is built.
+# Characters per chunk of lines read by `_chunks`: big enough to amortise
+# the read, small enough that no whole-file line list is built.
 _CHUNK_CHARS = 1 << 20
 
 
@@ -157,7 +158,8 @@ def _parse_lines(lines: Iterable[str], format: str, column: int,
 
 
 class _HashingReader(io.RawIOBase):
-    """Raw binary layer that feeds every byte it reads to a hash object."""
+    """Raw binary layer that feeds every byte it reads to a hash object
+    (none when `digest` is None)."""
 
     def __init__(self, raw, digest):
         self._raw = raw
@@ -168,7 +170,7 @@ class _HashingReader(io.RawIOBase):
 
     def readinto(self, b) -> int:
         n = self._raw.readinto(b)
-        if n:
+        if n and self._digest is not None:
             self._digest.update(memoryview(b)[:n])
         return n
 
@@ -178,10 +180,8 @@ class _HashingReader(io.RawIOBase):
 
 
 def _open_text(path: Path, digest=None):
-    """`path` as UTF-8 text; with a hash object `digest`, every byte read
-    through the returned file is also fed to it."""
-    if digest is None:
-        return path.open("r", encoding="utf-8", errors="surrogateescape")
+    """`path` as UTF-8 text read through a `_HashingReader`, so every byte
+    read is also fed to the hash object `digest` if one is given."""
     raw = _HashingReader(path.open("rb", buffering=0), digest)
     return io.TextIOWrapper(io.BufferedReader(raw, _CHUNK_CHARS), encoding="utf-8", errors="surrogateescape")
 
@@ -199,8 +199,22 @@ def _ingest_lines(path: Path, format: str, column: int) -> list[float]:
     return out
 
 
+def _chunks(fh):
+    """The lines of `fh` in chunks, without their newlines: each chunk holds
+    the lines fh.readlines(_CHUNK_CHARS) would return, as the text of
+    fh.read(_CHUNK_CHARS) completed by fh.readline() and split at the
+    (already translated) newlines.  Reading text in bulk keeps the text
+    layer's per-line overhead off the loop, which matters because fh reads
+    through the Python-level raw layer `_HashingReader`."""
+    while text := fh.read(_CHUNK_CHARS):
+        lines = (text + fh.readline()).split("\n")
+        if not lines[-1]:
+            lines.pop()  # the text ends with a newline
+        yield lines
+
+
 def _read_plain(fh) -> array:
-    """Values of a plain file, read in chunks from one pass over `fh`.
+    """Values of a plain file, read in `_chunks` from one pass over `fh`.
 
     Each chunk goes through float() into one array("d") buffer.  At the
     first line float() rejects (a comment, a blank line, a bad token, bytes
@@ -208,19 +222,10 @@ def _read_plain(fh) -> array:
     which skips the line or raises with its number, and the next chunk is
     read fast again.  A non-finite value among the fast-parsed lines sends
     those lines through the line loop, which raises at the first of them.
-
-    A chunk holds the lines fh.readlines(_CHUNK_CHARS) would return: the
-    text of fh.read(_CHUNK_CHARS) completed by fh.readline(), split at the
-    (already translated) newlines.  Reading text in bulk keeps the text
-    layer's per-line overhead off the loop, which matters when fh reads
-    through a Python-level raw layer such as `_HashingReader`.
     """
     buf = array("d")
     line_number = 1  # of the chunk's first line
-    while text := fh.read(_CHUNK_CHARS):
-        lines = (text + fh.readline()).split("\n")
-        if not lines[-1]:
-            lines.pop()  # the text ends with a newline
+    for lines in _chunks(fh):
         start = len(buf)
         try:
             buf.extend(map(float, lines))
@@ -254,7 +259,7 @@ def ingest(path: str | Path, format: str = PLAIN, column: int = 0, digest=None) 
     From the first line float() rejects, the rest of its chunk is parsed by
     the line loop, which is the single source of every error and line
     number; a clean file never enters it.  csv-column files always use the
-    line loop.
+    line loop, fed with the same chunks of lines.
 
     With a hashlib object `digest`, the bytes of the file are fed to it as
     they are read, so the caller gets the input's hash without opening it a
@@ -269,7 +274,7 @@ def ingest(path: str | Path, format: str = PLAIN, column: int = 0, digest=None) 
         if format == PLAIN:
             values = np.frombuffer(_read_plain(fh), dtype=float)
         else:
-            values = _parse_lines(fh, format, column)
+            values = _parse_lines(chain.from_iterable(_chunks(fh)), format, column)
     _require_two(len(values), path)
     return OrderedSample.from_data(values)
 

@@ -563,9 +563,10 @@ def limit_quantile(
     """q-quantile of a limit law, by CF inversion or Monte Carlo.
 
     cf-inversion is deterministic: the Gil-Pelaez CDF (two-stage panel sum,
-    see cfinversion) bisected to 1e-6 on the abscissa, with no scipy
+    see cfinversion) bisected to 1e-9 on the abscissa, with no scipy
     involved; its std_error field reports the numerical error estimate (CDF
-    quadrature error divided by the local density, plus the 1e-6).
+    quadrature error divided by the local density, plus 1e-6, which bounds
+    the root-finding error with room to spare).
     monte-carlo draws `paths` replicates (for the sum-over-max law: the
     finite-n statistic with parameters mc_k, mc_n) and reports the type-7
     empirical quantile with a 10-batch standard error.
@@ -573,7 +574,7 @@ def limit_quantile(
     if not (0.0 < q < 1.0):
         raise DomainError(f"quantile level must lie in (0,1), got {q}")
     if method == "cf-inversion":
-        inv, value = _solve_in_resolved_range(spec, 32.0, lambda inv: inv.quantile(q))
+        inv, value = _solve_in_resolved_range(spec, 32.0, lambda inv: inv.quantile(q, xtol=1e-9))
         h = 1e-3 * max(1.0, abs(value))
         density = max((inv.cdf(value + h) - inv.cdf(value - h)) / (2 * h), 1e-12)
         err = inv.cdf_abs_err / density + 1e-6

@@ -168,6 +168,39 @@ def test_ingest_fast_path_matches_line_loop(tmp_path, name):
     assert _outcome(ingest, f) == _outcome(oracle, f)
 
 
+# csv-column files for the same oracle check, as (bytes, column); the plain
+# rows above are read too, as one-column files.
+_CSV_PAST_FIRST_CHUNK = b"".join(b"%d,%d.5\n" % (i, i) for i in range(150_000))  # ~2 MB
+CSV_EQUIVALENCE_ROWS = {
+    "csv-header-crlf": (b"name,x\r\na,1.5\r\nb,2\r\n", 1),
+    "csv-comments-and-blanks": (b"x,y\n# c\n\n1,2\n 3 , 4 \n", 1),
+    "csv-clean-past-first-chunk": (b"a,b\n" + _CSV_PAST_FIRST_CHUNK, 1),
+    "csv-missing-column-past-first-chunk": (_CSV_PAST_FIRST_CHUNK + b"7\n", 1),
+    "csv-bad-cell-past-first-chunk": (_CSV_PAST_FIRST_CHUNK + b"8,x\n", 1),
+    "csv-not-utf8-past-first-chunk": (_CSV_PAST_FIRST_CHUNK + b"9,\xff\n", 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INGEST_EQUIVALENCE_ROWS) + sorted(CSV_EQUIVALENCE_ROWS))
+def test_ingest_csv_column_matches_line_loop(tmp_path, name):
+    data, column = CSV_EQUIVALENCE_ROWS.get(name, (INGEST_EQUIVALENCE_ROWS.get(name), 0))
+    f = tmp_path / "a.csv"
+    f.write_bytes(data)
+    read = lambda p: ingest(p, format="csv-column", column=column)
+    oracle = lambda p: OrderedSample.from_data(data_module._ingest_lines(p, "csv-column", column))
+    assert _outcome(read, f) == _outcome(oracle, f)
+    expected = {
+        "csv-clean-past-first-chunk": "ok",
+        "csv-missing-column-past-first-chunk": "ParseError",
+        "csv-bad-cell-past-first-chunk": "ParseError",
+        "csv-not-utf8-past-first-chunk": "ParseError",
+    }
+    if name in expected:
+        kind, line_number = _outcome(read, f)
+        assert kind == expected[name]
+        assert kind == "ok" or line_number == 150_001
+
+
 def test_ingest_equivalence_table_error_lines(tmp_path):
     # The table above is only as good as the outcomes it reaches.
     expected = {

@@ -353,8 +353,9 @@ def test_run_batches_caps_workers(monkeypatch):
     assert created == [3, 2, 2]  # one CPU (or unknown): no pool
 
 
-def _scipy_modules_after(argv, tmp_path):
-    """scipy modules loaded by one `tailband` command in a fresh interpreter."""
+def _stdout_then_scipy_modules(argv, tmp_path):
+    """stdout lines of one `tailband` command run in a fresh interpreter,
+    followed by the list of scipy modules it loaded."""
     import os
     import subprocess
     import sys
@@ -374,7 +375,7 @@ def _scipy_modules_after(argv, tmp_path):
         env=env, capture_output=True, text=True, timeout=120, cwd=tmp_path,
     )
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.strip().splitlines()[-1]
+    return proc.stdout.splitlines()
 
 
 def test_qq_analyze_loads_no_scipy(tmp_path):
@@ -382,7 +383,7 @@ def test_qq_analyze_loads_no_scipy(tmp_path):
     f.write_text("".join(f"{(i + 1) ** 0.5!r}\n" for i in range(2000)))
     argv = ["analyze", f, "--plot", "qq", "--k", "200", "--eps", "0.05", "--band", "--svg", "p.svg",
             "--outdir", tmp_path / "o"]
-    assert _scipy_modules_after(argv, tmp_path) == "[]"
+    assert _stdout_then_scipy_modules(argv, tmp_path) == ["[]"]
     assert (tmp_path / "o" / "band.csv").exists()
 
 
@@ -391,12 +392,12 @@ def test_heavy_me_analyze_and_stilde_load_no_scipy(tmp_path):
     assert run_cli("simulate", "--dist", "pareto", "--xi", 0.7, "--n", 4000, "--seed", 5, "--out", f) == 0
     argv = ["analyze", f, "--plot", "me", "--k", 300, "--eps", 0.1, "--band", "--xi", 0.7,
             "--paths", 1000, "--grid", 1024, "--outdir", tmp_path / "o"]
-    assert _scipy_modules_after(argv, tmp_path) == "[]"
+    assert _stdout_then_scipy_modules(argv, tmp_path) == ["[]"]
     meta = json.loads((tmp_path / "o" / "meta.json").read_text())
     assert meta["regime"] == "me-gt-half"
     assert meta["quantiles"]["tilde_hi"]["source"] == "cf-inversion"
     argv = ["quantiles", "--functional", "stilde", "--xi", 0.7, "--level", 0.975]
-    assert _scipy_modules_after(argv, tmp_path) == "[]"
+    assert _stdout_then_scipy_modules(argv, tmp_path)[-1] == "[]"  # after the quantile's JSON
 
 
 def test_analyze_me_band_heavy_shape_refusal(sample_file, tmp_path, capsys):
