@@ -138,7 +138,7 @@ class GilPelaezInverter:
                 raise ConvergenceFailure(f"probability {p_hi} above resolved range (+-{self.x_max})")
         return lo, hi
 
-    def quantile(self, q: float, xtol: float = 1e-6) -> float:
+    def quantile(self, q: float, xtol: float = 1e-9) -> float:
         """q-quantile: a bracket doubled out from [-1, 1] until it holds q,
         then bisection of the inverted CDF until the bracket is at most xtol
         wide; returns its midpoint."""

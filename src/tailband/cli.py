@@ -275,7 +275,7 @@ def cmd_analyze(args: argparse.Namespace, argv: list[str]) -> int:
 # Numerics revision of cached quantiles.  It is part of the cache file's name,
 # so rows computed by older numerics are never read: bump it whenever the
 # numerics behind a cached value change.  Revision 2 sums the Gil-Pelaez CDF
-# in two rotor stages and bisects it; revision 1 (the untagged
+# in two rotor stages and bisects it to 1e-9; revision 1 (the untagged
 # quantile_cache.csv) took one exponential per node and scipy's brentq.
 _CACHE_NUMERICS = 2
 _CACHE_HEADER = "functional,xi,eps,level,paths,grid,seed,source,value,std_error,n_paths,grid_m"

@@ -574,7 +574,7 @@ def limit_quantile(
     if not (0.0 < q < 1.0):
         raise DomainError(f"quantile level must lie in (0,1), got {q}")
     if method == "cf-inversion":
-        inv, value = _solve_in_resolved_range(spec, 32.0, lambda inv: inv.quantile(q, xtol=1e-9))
+        inv, value = _solve_in_resolved_range(spec, 32.0, lambda inv: inv.quantile(q))
         h = 1e-3 * max(1.0, abs(value))
         density = max((inv.cdf(value + h) - inv.cdf(value - h)) / (2 * h), 1e-12)
         err = inv.cdf_abs_err / density + 1e-6
