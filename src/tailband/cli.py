@@ -274,10 +274,14 @@ def cmd_analyze(args: argparse.Namespace, argv: list[str]) -> int:
 
 # Numerics revision of cached quantiles.  It is part of the cache file's name,
 # so rows computed by older numerics are never read: bump it whenever the
-# numerics behind a cached value change.  Revision 2 sums the Gil-Pelaez CDF
-# in two rotor stages and bisects it to 1e-9; revision 1 (the untagged
-# quantile_cache.csv) took one exponential per node and scipy's brentq.
-_CACHE_NUMERICS = 2
+# numerics behind a cached value change.  Revision 3 stops the sum-over-max
+# CF quadrature at t_max = 30 and integrates the CF's leading tail term
+# beyond it in closed form, which moves stilde cf-inversion values (by about
+# 1e-8 at xi = 0.7); revision 2 truncated that integral at a t_max of
+# hundreds to thousands, summed the Gil-Pelaez CDF in two rotor stages and
+# bisected it to 1e-9; revision 1 (the untagged quantile_cache.csv) took one
+# exponential per node and scipy's brentq.
+_CACHE_NUMERICS = 3
 _CACHE_HEADER = "functional,xi,eps,level,paths,grid,seed,source,value,std_error,n_paths,grid_m"
 
 
@@ -290,21 +294,30 @@ def _cache_key(args: argparse.Namespace, seed: int, paths: int, source: str) -> 
 
 
 def _cache_lookup(cache_file: Path, key: str) -> QuantileEstimate | None:
+    """The cached estimate under key, or None.  A row of the key that is cut
+    short or does not parse (a crash mid-write, a hand edit) is a miss, so the
+    value is recomputed and a good row appended after it."""
     if not cache_file.exists():
         return None
     prefix = key + ","
-    for line in cache_file.read_text(encoding="utf-8").splitlines()[1:]:
-        if line.startswith(prefix):
-            value, std_error, n_paths, grid_m = line[len(prefix):].split(",")
-            fields = key.split(",")
+    fields = key.split(",")
+    for line in cache_file.read_text(encoding="utf-8", errors="replace").splitlines()[1:]:
+        if not line.startswith(prefix):
+            continue
+        row = line[len(prefix):].split(",")
+        if len(row) != 4:
+            continue
+        try:
             return QuantileEstimate(
-                value=float(value),
+                value=float(row[0]),
                 level=float(fields[3]),
                 source=fields[7],
-                std_error=float(std_error),
-                n_paths=int(n_paths),
-                grid_m=int(grid_m),
+                std_error=float(row[1]),
+                n_paths=int(row[2]),
+                grid_m=int(row[3]),
             )
+        except (ValueError, DomainError):  # DomainError: fields out of range
+            continue
     return None
 
 

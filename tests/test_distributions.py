@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from tailband.cfinversion import GilPelaezInverter
 from tailband.distributions import (
     ALPHA_ONE,
+    ALPHA_ONE_LOCATION,
     CENTERED_SUM,
     SIMULATION,
     SUM_OVER_MAX,
@@ -256,6 +258,58 @@ def test_sum_over_max_cf_mean():
     assert mean.real == pytest.approx(-xi / (1 - xi), abs=1e-6)
 
 
+def _fourier_power_integral(w, lo, p):
+    """int_lo^inf e^{iwt} t^(-p) dt by scipy's QAWF (weight cos/sin), or the
+    plain power integral at w = 0."""
+    if w == 0:
+        return complex(quad(lambda t: t ** -p, lo, np.inf, epsabs=1e-15, epsrel=1e-13)[0])
+    re = quad(lambda t: t ** -p, lo, np.inf, weight="cos", wvar=abs(w), epsabs=1e-14)[0]
+    im = quad(lambda t: t ** -p, lo, np.inf, weight="sin", wvar=abs(w), epsabs=1e-14)[0]
+    return complex(re, im if w > 0 else -im)
+
+
+@pytest.mark.parametrize("xi", [0.55, 0.7, 0.9])
+def test_sum_over_max_cf_tail_identity(xi):
+    # phi(l) = -xi e^{il} l^-a / (Gamma(-a) e^{-i pi a/2} - R(l)) with
+    # R(l) = int_l^inf e^{iu} u^(-1-a) du: the identity behind the
+    # inverter's closed-form tail.
+    a = 1 / xi
+    for lam in (30.0, 100.0, 1000.0):
+        r = _fourier_power_integral(1.0, lam, 1 + a)
+        exact = -xi * np.exp(1j * lam) * lam**-a / (math.gamma(-a) * np.exp(-0.5j * math.pi * a) - r)
+        assert abs(sum_over_max_cf(xi, lam) - exact) <= 1e-9 * abs(exact)
+
+
+def test_alpha_one_location_is_one_minus_euler_gamma():
+    # int_0^inf (sin u/u^2 - 1/(u(1+u))) du, split at 1: on (0, 1] the
+    # integrand is (sin u - u)/u^2 + 1/(1+u); beyond 1 the sin part goes
+    # to QAWF and int_1^inf du/(u(1+u)) = log 2.
+    head = quad(lambda u: (math.sin(u) - u) / u**2 + 1 / (1 + u), 0, 1, epsabs=1e-14)[0]
+    sin_tail = quad(lambda u: u**-2.0, 1, np.inf, weight="sin", wvar=1.0)[0]
+    assert abs(head + sin_tail - math.log(2.0) - ALPHA_ONE_LOCATION) <= 1e-10
+    assert ALPHA_ONE_LOCATION == 1.0 - np.euler_gamma
+
+
+def test_alpha_one_law_loads_no_scipy():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import tailband
+
+    script = (
+        "import sys\n"
+        "from tailband.distributions import ALPHA_ONE, StableSpec, limit_quantile\n"
+        "limit_quantile(StableSpec(alpha=1.0, skew=1.0, kind=ALPHA_ONE), 0.9)\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(tailband.__file__).resolve().parent.parent))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]"]
+
+
 def test_centered_sum_scale_anchor():
     # at xi = 2/3: (xi/(1-xi)) * Gamma(1/2) * |cos(3 pi/4)| = 2 sqrt(pi) cos(pi/4)
     expected = 2.0 * math.sqrt(math.pi) * math.cos(math.pi / 4)
@@ -374,12 +428,50 @@ def test_sum_over_max_quantile_cross_method():
     ids=["som-0.55", "som-0.7", "som-0.9", "gaussian", "alpha-one"],
 )
 def test_inverter_cdf_matches_dense_sum(spec):
-    # The two-stage panel sum is the dense quadrature sum, reordered.
+    # The two-stage panel sum is the dense quadrature sum, reordered; both
+    # add the inverter's closed-form tail (sum-over-max laws only).
     inv = _build_inverter(_InverterKey.of(spec, 32.0))
     xs = np.linspace(-inv.x_max, inv.x_max, 33)
-    dense = np.array([0.5 - (np.exp(-1j * np.outer([x], inv.nodes)) @ inv.kernel).imag[0] / np.pi for x in xs])
+    dense = np.array([
+        0.5 - ((np.exp(-1j * np.outer([x], inv.nodes)) @ inv.kernel)[0] + inv.tail_sums(np.array([x]))[0]).imag / np.pi
+        for x in xs
+    ])
     assert np.max(np.abs(inv.cdf(xs) - dense)) <= 1e-12
     assert all(inv.cdf(float(x)) == pytest.approx(d, abs=1e-12) for x, d in zip(xs[::8], dense[::8]))
+
+
+@pytest.mark.parametrize("xi", [0.55, 0.7, 0.9])
+def test_sum_over_max_closed_form_tail_matches_quadrature(xi):
+    inv = _build_inverter(_InverterKey.of(StableSpec(alpha=1.0 / xi, skew=1.0, kind=SUM_OVER_MAX), 32.0))
+    tail, t_max = inv.tail, inv.t_max
+    assert t_max == pytest.approx(30.0)
+    # x = 1 has no oscillation; 0.99 and 1.02 take the power series, the
+    # rest the continued fraction (0.96 at |z| = 1.2, where it is slowest)
+    for x in (-25.0, -3.0, 0.0, 0.5, 0.96, 0.99, 1.0, 1.02, 1.5, 7.0, 31.0):
+        expected = tail.coef * _fourier_power_integral(1.0 - x, t_max, 1.0 + tail.power)
+        assert abs(inv.tail_sums(np.array([x]))[0] - expected) <= 1e-12
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("x_max", [32.0, 128.0])
+@pytest.mark.parametrize("xi", [0.55, 0.7, 0.9])
+def test_sum_over_max_tail_matches_truncated_inverter(xi, x_max):
+    # The inverter with the closed-form tail against a tail-less one whose
+    # quadrature runs out to where |phi| itself is negligible (the t_max
+    # the inverter used before it had a tail: 1.4M nodes at xi = 0.9,
+    # x_max = 32, and 5.0M at x_max = 128; phi is evaluated in chunks to
+    # bound memory).
+    a = 1.0 / xi
+    tol = 3e-6
+    t_max = max(50.0, (2.0 * xi / math.gamma(-a) / (math.pi * a * tol)) ** (1.0 / a))
+    truncated = GilPelaezInverter.from_cf(
+        lambda t: np.concatenate([sum_over_max_cf(xi, c) for c in np.array_split(t, 1 + t.size // 250_000)]),
+        t_max, x_max, tail_err=tol, phase_slack=6.0,
+    )
+    inv = _build_inverter(_InverterKey.of(StableSpec(alpha=a, skew=1.0, kind=SUM_OVER_MAX), x_max))
+    assert inv.cdf_abs_err == tol
+    xs = np.append(np.linspace(-x_max, x_max, 65), [0.97, 1.0, 1.03])
+    assert np.max(np.abs(inv.cdf(xs) - truncated.cdf(xs))) <= inv.cdf_abs_err
 
 
 def test_inverter_nodes_factor_into_panels():
@@ -406,6 +498,18 @@ def test_quantile_curve_matches_pointwise_quantile():
     curve = inv.quantile_curve(probs, n_grid=20_000)
     pointwise = np.array([inv.quantile(q, xtol=xtol) for q in probs])
     assert np.max(np.abs(curve - pointwise)) <= xtol
+
+
+def test_quantile_curve_within_std_error_sum_over_max():
+    # The heavy-regime law has a non-smooth density at x = 1, where linear
+    # interpolation on the coarse grid alone was off by 2.2e-3 (q = 0.92).
+    spec = StableSpec(alpha=1.0 / 0.7, skew=1.0, kind=SUM_OVER_MAX)
+    inv = _build_inverter(_InverterKey.of(spec, 32.0))
+    probs = np.arange(1, 200) * 0.005
+    curve = inv.quantile_curve(probs)
+    for q, value in zip(probs, curve):
+        est = limit_quantile(spec, q, method="cf-inversion")
+        assert abs(value - inv.quantile(q)) <= est.std_error, q
 
 
 def test_inverter_cache_is_bounded_and_keeps_rounding():

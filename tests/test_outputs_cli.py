@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tailband.cli import main
+from tailband.cli import _CACHE_HEADER, _CACHE_NUMERICS, main
 from tailband.data import ingest
 from tailband.limitsim import qq_sup_quantile
 from tailband.outputs import file_sha256, format_float, render_plot_svg, write_csv
@@ -518,13 +518,15 @@ def test_quantiles_cache_hit(tmp_path, capsys):
 
 
 def test_quantiles_cache_misses_rows_of_older_numerics(tmp_path, capsys):
-    # A row written by the previous numerics (untagged quantile_cache.csv,
-    # brentq on the per-node sum) must never be served.
-    old = tmp_path / "quantile_cache.csv"
-    old.write_text(
-        "functional,xi,eps,level,paths,grid,seed,source,value,std_error,n_paths,grid_m\n"
-        "stilde,0.5500,,0.975,100000,8192,0,cf-inversion,99.0,0.001,0,0\n"
-    )
+    # Rows written by earlier numerics must never be served: the untagged
+    # quantile_cache.csv (brentq on the per-node sum) and v2 (the CF
+    # integral truncated at t_max, without the closed-form tail).
+    olds = [tmp_path / "quantile_cache.csv", tmp_path / "quantile_cache.v2.csv"]
+    for old in olds:
+        old.write_text(
+            "functional,xi,eps,level,paths,grid,seed,source,value,std_error,n_paths,grid_m\n"
+            "stilde,0.5500,,0.975,100000,8192,0,cf-inversion,99.0,0.001,0,0\n"
+        )
     args = ["quantiles", "--functional", "stilde", "--xi", 0.55, "--level", 0.975, "--seed", 0,
             "--cache-dir", tmp_path]
     assert run_cli(*args) == 0
@@ -535,7 +537,34 @@ def test_quantiles_cache_misses_rows_of_older_numerics(tmp_path, capsys):
     second = json.loads(capsys.readouterr().out)
     assert second["cache_hit"] is True
     assert second["estimates"] == first["estimates"]
-    assert old.read_text().count("\n") == 2  # the old file is left alone
+    assert all(old.read_text().count("\n") == 2 for old in olds)  # old files are left alone
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        "stilde,0.5500,,0.975,100000,8192,0,cf-inversion,99.0,0.001",  # last two fields cut
+        "stilde,0.5500,,0.975,100000,8192,0,cf-inversion,99.0,0.001,0,0,0",  # one field too many
+        "stilde,0.5500,,0.975,100000,8192,0,cf-inversion,9x.0,0.001,0,0",  # value does not parse
+        "stilde,0.5500,,0.975,100000,8192,0,cf-inversion,99.0,0.0,0,0",  # std_error must be > 0
+    ],
+    ids=["cut", "extra-field", "bad-float", "zero-std-error"],
+)
+def test_quantiles_cache_malformed_row_is_a_miss(tmp_path, capsys, row):
+    cache = tmp_path / f"quantile_cache.v{_CACHE_NUMERICS}.csv"
+    cache.write_text(_CACHE_HEADER + "\n" + row + "\n")
+    args = ["quantiles", "--functional", "stilde", "--xi", 0.55, "--level", 0.975, "--seed", 0,
+            "--cache-dir", tmp_path]
+    assert run_cli(*args) == 0
+    first = json.loads(capsys.readouterr().out)
+    assert first["cache_hit"] is False
+    assert first["estimates"][0]["value"] != 99.0
+    lines = cache.read_text().splitlines()
+    assert lines[:2] == [_CACHE_HEADER, row] and len(lines) == 3  # a good row is appended
+    assert run_cli(*args) == 0
+    second = json.loads(capsys.readouterr().out)
+    assert second["cache_hit"] is True
+    assert second["estimates"] == first["estimates"]
 
 
 def test_quantiles_stilde_both_methods(capsys):
