@@ -14,7 +14,6 @@ quantiles drive the heavy-regime mean-excess bands:
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -513,7 +512,8 @@ def _build_inverter(key: _InverterKey) -> cfinversion.GilPelaezInverter:
         # 2 k_rest T^(-1-2a) with k_rest = 2 |C0| / (pi Gamma(-a) (1+2a)).
         # T keeps that below half the budget; the floor of 30 decides it for
         # every xi in (1/2, 1), leaving the rest at ~1e-7 or less.
-        tail = cfinversion.PowerTail(coef=-xi * cmath.exp(0.5j * math.pi * a) / gamma_neg_a, power=a)
+        half_turn = 0.5 * math.pi * a
+        tail = cfinversion.PowerTail(coef=-xi * complex(math.cos(half_turn), math.sin(half_turn)) / gamma_neg_a, power=a)
         k_rest = 2.0 * abs(tail.coef) / (math.pi * gamma_neg_a * (1.0 + 2.0 * a))
         t_max = max(30.0, (4.0 * k_rest / tol) ** (1.0 / (1.0 + 2.0 * a)))
         cf = lambda nodes: sum_over_max_cf(xi, nodes)
