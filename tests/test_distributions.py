@@ -457,10 +457,10 @@ def test_sum_over_max_closed_form_tail_matches_quadrature(xi):
 @pytest.mark.parametrize("xi", [0.55, 0.7, 0.9])
 def test_sum_over_max_tail_matches_truncated_inverter(xi, x_max):
     # The inverter with the closed-form tail against a tail-less one whose
-    # quadrature runs out to where |phi| itself is negligible (the t_max
-    # the inverter used before it had a tail: 1.4M nodes at xi = 0.9,
-    # x_max = 32, and 5.0M at x_max = 128; phi is evaluated in chunks to
-    # bound memory).
+    # quadrature runs out to where the bound 2 xi t^-a / Gamma(-a) on |phi|
+    # puts the truncation error under the same budget: 1.4M nodes at
+    # xi = 0.9 and x_max = 32, 5.0M at x_max = 128 (phi is evaluated in
+    # chunks to bound memory).
     a = 1.0 / xi
     tol = 3e-6
     t_max = max(50.0, (2.0 * xi / math.gamma(-a) / (math.pi * a * tol)) ** (1.0 / a))

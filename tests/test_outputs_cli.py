@@ -567,6 +567,19 @@ def test_quantiles_cache_malformed_row_is_a_miss(tmp_path, capsys, row):
     assert second["estimates"] == first["estimates"]
 
 
+def test_quantiles_cache_non_utf8_row_is_a_miss(tmp_path, capsys):
+    cache = tmp_path / f"quantile_cache.v{_CACHE_NUMERICS}.csv"
+    bad = b"stilde,0.5500,,0.975,100000,8192,0,cf-inversion,9\xff.0,0.001,0,0\n"
+    cache.write_bytes(_CACHE_HEADER.encode() + b"\n" + bad)
+    args = ["quantiles", "--functional", "stilde", "--xi", 0.55, "--level", 0.975, "--seed", 0,
+            "--cache-dir", tmp_path]
+    assert run_cli(*args) == 0
+    assert json.loads(capsys.readouterr().out)["cache_hit"] is False
+    assert run_cli(*args) == 0
+    assert json.loads(capsys.readouterr().out)["cache_hit"] is True
+    assert cache.read_bytes().startswith(_CACHE_HEADER.encode() + b"\n" + bad)
+
+
 def test_quantiles_stilde_both_methods(capsys):
     code = run_cli(
         "quantiles", "--functional", "stilde", "--xi", 0.6667, "--level", 0.975,
