@@ -90,7 +90,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         "--threads",
         type=_int_arg(1),
         default=1,
-        help="worker processes for Monte Carlo batches (capped at the batch and CPU counts)",
+        help="worker threads for Monte Carlo batches (capped at the batch and CPU counts; "
+        "changes no output byte)",
     )
 
 

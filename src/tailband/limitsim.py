@@ -315,27 +315,61 @@ def simulate_bridge(m: int, rng: RngStream) -> BridgePath:
     return BridgePath(b)
 
 
+# Rows drawn and transformed together inside a batch: a few (16, m) buffers
+# stay in cache and replace the full-batch temporaries.
+_BLOCK_ROWS = 16
+
+
 def _bridge_functional_worker(args) -> tuple[np.ndarray, np.ndarray | None]:
+    """c (and d) samples of one batch, in row blocks of _BLOCK_ROWS paths.
+
+    The generator fills each block in C order, so the blocks draw the same
+    numbers as one (size, m) call, and every value is computed by the same
+    floating-point operations in the same order as on a whole batch.  The
+    window t >= eps is the suffix of columns j >= j0 because t increases.
+    """
     seed, stream_id, batch_index, size, xi_values, eps, m, include_integral = args
     g = RngStream(seed, stream_id).child(batch_index).generator()
-    z = g.standard_normal((size, m)) * math.sqrt(1.0 / m)
-    np.cumsum(z, axis=1, out=z)
     t = np.arange(1, m + 1) / m
-    b = z - t[None, :] * z[:, -1:]
-    b[:, -1] = 0.0
-    mask = t >= eps - 1e-12
-    t_mask = t[mask]
+    j0 = int(np.searchsorted(t, eps - 1e-12))
+    weights = [t ** (-(1.0 + xi)) for xi in xi_values]
+    scale = math.sqrt(1.0 / m)
+    rows = min(_BLOCK_ROWS, size)
+    z_buf = np.empty((rows, m))
+    f_buf = np.empty((rows, m))
+    cs_buf = np.empty((rows, m)) if include_integral else None
+    head = np.empty((rows, 1))
+    top = np.empty(rows)
+    # f is formed from column 0 on only where the running integral needs it
+    first = 0 if include_integral else j0
     c_part = np.empty((len(xi_values), size))
     d_part = np.empty((len(xi_values), size)) if include_integral else None
-    for row, xi in enumerate(xi_values):
-        weights = t ** (-(1.0 + xi))
-        f = b * weights[None, :]
-        c_part[row] = xi * f[:, mask].max(axis=1)
-        if include_integral:
-            cs = np.cumsum(f, axis=1)
-            # trapezoid from y = 1/m: I_j = (sum_{l<=j} f_l - f_1/2 - f_j/2)/m
-            integral = (cs - 0.5 * (f + f[:, :1])) / m
-            d_part[row] = xi * (integral[:, mask] / t_mask[None, :]).max(axis=1)
+    for lo in range(0, size, rows):
+        r = min(rows, size - lo)
+        z, f, mx = z_buf[:r], f_buf[:r], top[:r]
+        g.standard_normal(out=z)
+        z *= scale
+        np.cumsum(z, axis=1, out=z)
+        np.multiply(t, z[:, -1:], out=f)
+        np.subtract(z, f, out=z)  # bridge b = W - t W(1)
+        z[:, -1] = 0.0
+        for row, (xi, w) in enumerate(zip(xi_values, weights)):
+            np.multiply(z[:, first:], w[first:], out=f[:, first:])
+            np.max(f[:, j0:], axis=1, out=mx)
+            np.multiply(xi, mx, out=c_part[row, lo:lo + r])
+            if include_integral:
+                # trapezoid from y = 1/m: I_j = (sum_{l<=j} f_l - f_1/2 - f_j/2)/m
+                cs = cs_buf[:r]
+                np.cumsum(f, axis=1, out=cs)
+                np.copyto(head[:r], f[:, :1])
+                fw, cw = f[:, j0:], cs[:, j0:]
+                np.add(fw, head[:r], out=fw)
+                np.multiply(0.5, fw, out=fw)
+                np.subtract(cw, fw, out=cw)
+                cw /= m
+                cw /= t[j0:]
+                np.max(cw, axis=1, out=mx)
+                np.multiply(xi, mx, out=d_part[row, lo:lo + r])
     return c_part, d_part
 
 

@@ -8,7 +8,7 @@ bit-identical for any worker count.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -24,10 +24,15 @@ def batch_sizes(total: int, batch: int) -> list[int]:
 
 
 def run_batches(fn: Callable[[T], R], args: Sequence[T], threads: int = 1) -> list[R]:
-    """Map fn over args, preserving order, in min(threads, len(args), CPU
-    count) worker processes; with one worker it runs in this process."""
+    """Map fn over args, preserving order, on min(threads, len(args), CPU
+    count) worker threads; with one worker it runs in the calling thread.
+
+    The batch workers spend their time in numpy calls that release the
+    interpreter lock (generator fills, cumulative sums, ufuncs and
+    reductions), so the threads run in parallel.  The worker count changes
+    no result, only the order in which batches are computed."""
     workers = min(threads, len(args), os.cpu_count() or 1)
     if workers <= 1:
         return [fn(a) for a in args]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, args))

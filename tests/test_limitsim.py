@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,8 +19,10 @@ from tailband.limitsim import (
     qq_sup_quantile,
     reflection_exit_probability,
     simulate_bridge,
+    _bridge_functional_worker,
     _image_series,
 )
+from tailband.parallel import batch_sizes
 from tailband.rng import RngStream
 
 
@@ -219,6 +222,76 @@ def test_bridge_engine_thread_invariance():
     c2, d2 = bridge_functional_samples([0.2], 0.1, 1030, 512, stream, batch=256, threads=2)
     assert c1.tolist() == c2.tolist()
     assert d1.tolist() == d2.tolist()
+
+
+def _unfused_batch(args):
+    """The bridge worker as one whole-batch pass with a boolean window mask:
+    the reference the row-blocked worker must reproduce bit for bit."""
+    seed, stream_id, batch_index, size, xi_values, eps, m, include_integral = args
+    g = RngStream(seed, stream_id).child(batch_index).generator()
+    z = g.standard_normal((size, m)) * math.sqrt(1.0 / m)
+    np.cumsum(z, axis=1, out=z)
+    t = np.arange(1, m + 1) / m
+    b = z - t[None, :] * z[:, -1:]
+    b[:, -1] = 0.0
+    mask = t >= eps - 1e-12
+    t_mask = t[mask]
+    c_part = np.empty((len(xi_values), size))
+    d_part = np.empty((len(xi_values), size)) if include_integral else None
+    for row, xi in enumerate(xi_values):
+        weights = t ** (-(1.0 + xi))
+        f = b * weights[None, :]
+        c_part[row] = xi * f[:, mask].max(axis=1)
+        if include_integral:
+            cs = np.cumsum(f, axis=1)
+            integral = (cs - 0.5 * (f + f[:, :1])) / m
+            d_part[row] = xi * (integral[:, mask] / t_mask[None, :]).max(axis=1)
+    return c_part, d_part
+
+
+# (m, eps on a grid point, eps between grid points)
+_WINDOW_GRIDS = ((2, 0.5, 0.3), (3, 1 / 3, 0.5), (513, 57 / 513, 0.25), (1024, 0.125, 0.1))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("batch", [1, 15, 16, 17, 220, 256])
+def test_bridge_engine_matches_unfused_worker(batch, threads):
+    # batches [batch, batch, 7] (nine of one path at batch 1): full and short
+    # row blocks, a block edge on either side of 16, and a short last batch
+    n_paths = 2 * batch + 7
+    stream = RngStream(12, 5)
+    for m, *eps_values in _WINDOW_GRIDS:
+        t = np.arange(1, m + 1) / m
+        for eps, on_grid in zip(eps_values, (True, False)):
+            assert np.any(t == eps) == on_grid
+            for integral, shape_sets in ((False, [(0.7,), (0.3, 0.6, 0.9)]), (True, [(0.25,), (0.1, 0.3, 0.45)])):
+                for shapes in shape_sets:
+                    c, d = bridge_functional_samples(
+                        shapes, eps, n_paths, m, stream, include_integral=integral, batch=batch, threads=threads
+                    )
+                    parts = [
+                        _unfused_batch((stream.seed, stream.stream_id, i, size, shapes, eps, m, integral))
+                        for i, size in enumerate(batch_sizes(n_paths, batch))
+                    ]
+                    case = (m, eps, integral, shapes)
+                    assert np.array_equal(c, np.concatenate([p[0] for p in parts], axis=1)), case
+                    if integral:
+                        assert np.array_equal(d, np.concatenate([p[1] for p in parts], axis=1)), case
+                    else:
+                        assert d is None
+
+
+@pytest.mark.parametrize("integral", [False, True])
+def test_bridge_worker_memory_is_row_blocked(integral):
+    # one 256-path batch on the default grid: whole-batch temporaries would
+    # take 16.8 MB each; the row-blocked worker needs a few (16 x m) buffers
+    tracemalloc.start()
+    try:
+        _bridge_functional_worker((13, 0, 0, 256, (0.25,), 0.1, 8192, integral))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6, peak
 
 
 def test_bridge_functional_small_shape_scaling():

@@ -341,7 +341,7 @@ def test_run_batches_caps_workers(monkeypatch):
         def map(self, fn, args):
             return map(fn, args)
 
-    monkeypatch.setattr(parallel, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(parallel, "ThreadPoolExecutor", RecordingPool)
     monkeypatch.setattr(parallel.os, "cpu_count", lambda: 3)
     square = lambda v: v * v
     assert parallel.run_batches(square, [1, 2, 3, 4, 5], threads=64) == [1, 4, 9, 16, 25]
@@ -353,9 +353,9 @@ def test_run_batches_caps_workers(monkeypatch):
     assert created == [3, 2, 2]  # one CPU (or unknown): no pool
 
 
-def _stdout_then_scipy_modules(argv, tmp_path):
+def _stdout_then_loaded(argv, tmp_path, package="scipy"):
     """stdout lines of one `tailband` command run in a fresh interpreter,
-    followed by the list of scipy modules it loaded."""
+    followed by the list of modules of `package` it loaded."""
     import os
     import subprocess
     import sys
@@ -367,7 +367,8 @@ def _stdout_then_scipy_modules(argv, tmp_path):
         "import tailband.cli\n"
         "argv = sys.argv[1:]\n"
         "assert tailband.cli.main(argv) == 0\n"
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+        "package = " + repr(package) + "\n"
+        "print(sorted(m for m in sys.modules if m == package or m.startswith(package + '.')))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(tailband.__file__).resolve().parent.parent))
     proc = subprocess.run(
@@ -383,7 +384,7 @@ def test_qq_analyze_loads_no_scipy(tmp_path):
     f.write_text("".join(f"{(i + 1) ** 0.5!r}\n" for i in range(2000)))
     argv = ["analyze", f, "--plot", "qq", "--k", "200", "--eps", "0.05", "--band", "--svg", "p.svg",
             "--outdir", tmp_path / "o"]
-    assert _stdout_then_scipy_modules(argv, tmp_path) == ["[]"]
+    assert _stdout_then_loaded(argv, tmp_path) == ["[]"]
     assert (tmp_path / "o" / "band.csv").exists()
 
 
@@ -392,12 +393,25 @@ def test_heavy_me_analyze_and_stilde_load_no_scipy(tmp_path):
     assert run_cli("simulate", "--dist", "pareto", "--xi", 0.7, "--n", 4000, "--seed", 5, "--out", f) == 0
     argv = ["analyze", f, "--plot", "me", "--k", 300, "--eps", 0.1, "--band", "--xi", 0.7,
             "--paths", 1000, "--grid", 1024, "--outdir", tmp_path / "o"]
-    assert _stdout_then_scipy_modules(argv, tmp_path) == ["[]"]
+    assert _stdout_then_loaded(argv, tmp_path) == ["[]"]
     meta = json.loads((tmp_path / "o" / "meta.json").read_text())
     assert meta["regime"] == "me-gt-half"
     assert meta["quantiles"]["tilde_hi"]["source"] == "cf-inversion"
     argv = ["quantiles", "--functional", "stilde", "--xi", 0.7, "--level", 0.975]
-    assert _stdout_then_scipy_modules(argv, tmp_path)[-1] == "[]"  # after the quantile's JSON
+    assert _stdout_then_loaded(argv, tmp_path)[-1] == "[]"  # after the quantile's JSON
+
+
+def test_analyze_loads_no_multiprocessing(tmp_path):
+    # Monte Carlo batches run on threads: neither the QQ band nor a heavy ME
+    # band on two threads imports multiprocessing
+    f = tmp_path / "s.txt"
+    assert run_cli("simulate", "--dist", "pareto", "--xi", 0.7, "--n", 4000, "--seed", 5, "--out", f) == 0
+    qq = ["analyze", f, "--plot", "qq", "--k", "200", "--eps", "0.05", "--band", "--outdir", tmp_path / "q"]
+    assert _stdout_then_loaded(qq, tmp_path, "multiprocessing") == ["[]"]
+    me = ["analyze", f, "--plot", "me", "--k", 300, "--eps", 0.1, "--band", "--xi", 0.7,
+          "--paths", 1000, "--grid", 1024, "--threads", 2, "--outdir", tmp_path / "o"]
+    assert _stdout_then_loaded(me, tmp_path, "multiprocessing") == ["[]"]
+    assert (tmp_path / "o" / "band.csv").exists()
 
 
 def test_analyze_me_band_heavy_shape_refusal(sample_file, tmp_path, capsys):
