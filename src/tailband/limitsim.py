@@ -338,15 +338,13 @@ def _bridge_functional_worker(args) -> tuple[np.ndarray, np.ndarray | None]:
     z_buf = np.empty((rows, m))
     f_buf = np.empty((rows, m))
     cs_buf = np.empty((rows, m)) if include_integral else None
-    head = np.empty((rows, 1))
-    top = np.empty(rows)
     # f is formed from column 0 on only where the running integral needs it
     first = 0 if include_integral else j0
     c_part = np.empty((len(xi_values), size))
     d_part = np.empty((len(xi_values), size)) if include_integral else None
     for lo in range(0, size, rows):
-        r = min(rows, size - lo)
-        z, f, mx = z_buf[:r], f_buf[:r], top[:r]
+        hi = min(lo + rows, size)
+        z, f = z_buf[: hi - lo], f_buf[: hi - lo]
         g.standard_normal(out=z)
         z *= scale
         np.cumsum(z, axis=1, out=z)
@@ -355,21 +353,20 @@ def _bridge_functional_worker(args) -> tuple[np.ndarray, np.ndarray | None]:
         z[:, -1] = 0.0
         for row, (xi, w) in enumerate(zip(xi_values, weights)):
             np.multiply(z[:, first:], w[first:], out=f[:, first:])
-            np.max(f[:, j0:], axis=1, out=mx)
-            np.multiply(xi, mx, out=c_part[row, lo:lo + r])
+            np.max(f[:, j0:], axis=1, out=c_part[row, lo:hi])
+            c_part[row, lo:hi] *= xi
             if include_integral:
                 # trapezoid from y = 1/m: I_j = (sum_{l<=j} f_l - f_1/2 - f_j/2)/m
-                cs = cs_buf[:r]
+                cs = cs_buf[: hi - lo]
                 np.cumsum(f, axis=1, out=cs)
-                np.copyto(head[:r], f[:, :1])
                 fw, cw = f[:, j0:], cs[:, j0:]
-                np.add(fw, head[:r], out=fw)
-                np.multiply(0.5, fw, out=fw)
+                np.add(fw, f[:, :1], out=fw)
+                fw *= 0.5
                 np.subtract(cw, fw, out=cw)
                 cw /= m
                 cw /= t[j0:]
-                np.max(cw, axis=1, out=mx)
-                np.multiply(xi, mx, out=d_part[row, lo:lo + r])
+                np.max(cw, axis=1, out=d_part[row, lo:hi])
+                d_part[row, lo:hi] *= xi
     return c_part, d_part
 
 
