@@ -9,7 +9,6 @@ from .data import (  # noqa: F401
     fixed_xi,
     hill_estimate,
     ingest,
-    pickands_estimate,
     write_sample_file,
 )
 from .rng import RngStream  # noqa: F401

@@ -337,7 +337,6 @@ def coverage_experiment(
     replications: int,
     rng: RngStream,
     plot: str = QQ,
-    level: float | None = None,
     n_paths: int = DEFAULT_PATHS,
     grid_m: int = DEFAULT_GRID,
     threads: int = 1,
@@ -352,8 +351,8 @@ def coverage_experiment(
     """
     if plot not in (QQ, ME):
         raise DomainError(f"coverage plot must be 'qq' or 'me', got {plot!r}")
-    if level is not None and abs((1.0 - level) - cfg.alpha) > 1e-12:
-        cfg = PlotConfig(cfg.k, cfg.eps, 1.0 - level)
+    if replications < 1:
+        raise DomainError(f"need at least 1 replication, got {replications}")
     table = None
     if plot == ME:
         if not (0 < dist.xi < 0.5):

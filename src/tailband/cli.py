@@ -154,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--replications", type=int, required=True)
+    p.add_argument("--replications", type=_int_arg(1), required=True)
     p.add_argument("--paths", type=_int_arg(1), default=10_000)
     p.add_argument("--grid", type=int, default=8192)
     p.add_argument("--outdir", required=True)

@@ -1,9 +1,9 @@
-"""Sample ingestion, order statistics, and tail-index estimators.
+"""Sample ingestion, order statistics, and the Hill tail-index estimator.
 
 The central object is OrderedSample: the input data sorted in decreasing
 order, X_(1) >= X_(2) >= ... >= X_(n).  Everything downstream (mean-excess
-evaluation, Hill/Pickands estimation, plot construction) works off the
-order statistics.
+evaluation, Hill estimation, plot construction) works off the order
+statistics.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import (
     BadK,
-    DegenerateSpacings,
+    DomainError,
     EmptyExceedanceSet,
     NonFiniteValue,
     NonPositiveOrderStatistic,
@@ -28,7 +28,6 @@ from .errors import (
 )
 
 HILL = "hill"
-PICKANDS = "pickands"
 FIXED = "fixed"
 
 
@@ -80,8 +79,9 @@ class TailIndexEstimate:
     """Tail index (shape) estimate with its provenance.
 
     xi > 0 is required wherever the estimate is consumed (bands, normalized
-    plots); the record itself admits any finite value because the Pickands
-    estimator is signed for light-tailed input.
+    plots), and each consumer refuses other values with its own message.
+    The record itself admits any finite value: a user-supplied shape may be
+    <= 0, and a Hill estimate is 0 when the top k+1 order statistics tie.
     """
 
     xi: float
@@ -89,10 +89,10 @@ class TailIndexEstimate:
     k: int = 0
 
     def __post_init__(self):
-        if self.method not in (HILL, PICKANDS, FIXED):
+        if self.method not in (HILL, FIXED):
             raise ValueError(f"unknown method {self.method!r}")
         if not math.isfinite(self.xi):
-            raise ValueError("xi must be finite")
+            raise DomainError("xi must be finite")
 
 
 def fixed_xi(xi: float) -> TailIndexEstimate:
@@ -348,34 +348,3 @@ def hill_estimate(sample: OrderedSample, k: int) -> TailIndexEstimate:
         raise NonPositiveOrderStatistic(f"X_({k + 1}) = {pivot} <= 0")
     xi = float(np.mean(np.log(values[:k] / pivot)))
     return TailIndexEstimate(xi, HILL, k)
-
-
-def hill_trajectory(sample: OrderedSample, k_max: int) -> np.ndarray:
-    """Hill estimates for every k = 1..k_max in one pass (cumulative means)."""
-    values = sample.values
-    if not (1 <= k_max <= sample.n - 1):
-        raise BadK(f"k_max={k_max} outside 1..{sample.n - 1}")
-    if values[k_max] <= 0:
-        raise NonPositiveOrderStatistic(f"X_({k_max + 1}) = {values[k_max]} <= 0")
-    logs = np.log(values[: k_max + 1])
-    k = np.arange(1, k_max + 1)
-    return np.cumsum(logs[:-1])[: k_max] / k - logs[1 : k_max + 1]
-
-
-def pickands_estimate(sample: OrderedSample, k: int) -> TailIndexEstimate:
-    """Pickands estimator from order statistics at k, 2k and 4k.
-
-    xi_hat = log((X_(k) - X_(2k)) / (X_(2k) - X_(4k))) / log 2.  Requires
-    4k <= n and strictly decreasing spacings; location-scale invariant.
-    The result may be <= 0 for light-tailed data.
-    """
-    if k < 1 or 4 * k > sample.n:
-        raise BadK(f"need 4k <= n; got k={k}, n={sample.n}")
-    x_k = sample.values[k - 1]
-    x_2k = sample.values[2 * k - 1]
-    x_4k = sample.values[4 * k - 1]
-    upper = x_k - x_2k
-    lower = x_2k - x_4k
-    if lower <= 0 or upper <= 0:
-        raise DegenerateSpacings(f"spacings ({upper}, {lower}) must be positive")
-    return TailIndexEstimate(float(np.log(upper / lower) / np.log(2.0)), PICKANDS, k)

@@ -2,15 +2,16 @@
 
 Covers the simulation laws (Pareto, generalized Pareto, alpha-stable via the
 Chambers-Mallows-Stuck transform, and a Lambert-W-based law whose slowly
-varying factor matters), plus the three stable-type limit laws whose
-quantiles drive the heavy-regime mean-excess bands:
+varying factor matters), plus the one limit law whose quantiles drive the
+heavy-regime mean-excess bands:
 
-* ``centered-sum``   - limit of centered heavy-tailed sums scaled by the
-  upper quantile b(n); totally right-skewed alpha-stable.
-* ``alpha-one``      - the alpha = 1 positively skewed stable law.
 * ``sum-over-max``   - Darling-type limit of the mean-excess fluctuation
   normalized by data-driven constants (top order statistic in place of b(n));
   its characteristic function has a reciprocal form and is not stable itself.
+
+The sum-over-max law and the alpha-stable simulation law are both inverted
+through their characteristic functions (cfinversion); the Gaussian anchor
+tests check the inverter on the latter.
 """
 from __future__ import annotations
 
@@ -31,8 +32,8 @@ XI_ZERO_TOL = 1e-12
 
 def _gamma_fn(x: float) -> float:
     """Gamma function, math.gamma from the standard library, so that no
-    path loads scipy for it.  On (0, 2), where the limit-law scales evaluate
-    it, it agrees with scipy.special.gamma to about 1 ulp."""
+    path loads scipy for it.  On (0, 1), where the sum-over-max inverter
+    evaluates it, it agrees with scipy.special.gamma to about 1 ulp."""
     return math.gamma(x)
 
 
@@ -52,17 +53,6 @@ class GpdParams:
             raise DomainError(f"beta must be positive, got {self.beta}")
         if not math.isfinite(self.xi):
             raise DomainError("xi must be finite")
-
-
-def gpd_cdf(p: GpdParams, x: float) -> float:
-    """Generalized Pareto CDF; the xi = 0 branch is used for |xi| < 1e-12."""
-    if x < 0:
-        raise DomainError(f"x must be >= 0, got {x}")
-    if p.xi < -XI_ZERO_TOL and x > -p.beta / p.xi:
-        raise DomainError(f"x={x} outside support [0, {-p.beta / p.xi}]")
-    if abs(p.xi) < XI_ZERO_TOL:
-        return 1.0 - math.exp(-x / p.beta)
-    return 1.0 - (1.0 + p.xi * x / p.beta) ** (-1.0 / p.xi)
 
 
 def gpd_me(p: GpdParams, u: float) -> float:
@@ -190,25 +180,22 @@ def sample_nonstd(n: int, rng: RngStream) -> OrderedSample:
 
 
 # ---------------------------------------------------------------------------
-# alpha-stable: simulation law and limit laws
+# alpha-stable: simulation law and the sum-over-max limit law
 # ---------------------------------------------------------------------------
 
 SIMULATION = "simulation"
-CENTERED_SUM = "centered-sum"
-ALPHA_ONE = "alpha-one"
 SUM_OVER_MAX = "sum-over-max"
 
-_KINDS = (SIMULATION, CENTERED_SUM, ALPHA_ONE, SUM_OVER_MAX)
+_KINDS = (SIMULATION, SUM_OVER_MAX)
 
 
 @dataclass(frozen=True)
 class StableSpec:
-    """A stable-type law: the simulation family or one of the limit laws.
+    """A stable-type law: the simulation family or the sum-over-max limit law.
 
     alpha is the stability index (1/xi).  For kind 'sum-over-max' only
-    alpha in (1, 2) is meaningful (shape xi in (1/2, 1)); 'alpha-one' pins
-    alpha = 1; 'centered-sum' covers alpha in (0,1) (shape > 1, positive
-    stable) and alpha in (1,2) (shape in (1/2,1), right-skewed with mean 0).
+    alpha in (1, 2) is meaningful (shape xi in (1/2, 1)); that law ignores
+    skew.
     """
 
     alpha: float
@@ -224,10 +211,6 @@ class StableSpec:
             raise DomainError(f"skew must lie in [-1, 1], got {self.skew}")
         if self.kind == SUM_OVER_MAX and not (1.0 < self.alpha < 2.0):
             raise DomainError("sum-over-max law needs alpha in (1, 2)")
-        if self.kind == ALPHA_ONE and self.alpha != 1.0:
-            raise DomainError("alpha-one law needs alpha = 1")
-        if self.kind == CENTERED_SUM and (self.alpha in (1.0, 2.0)):
-            raise DomainError("centered-sum law needs alpha in (0,1) or (1,2)")
 
     @property
     def xi(self) -> float:
@@ -281,48 +264,6 @@ def stable_cf(alpha: float, skew: float, t) -> np.ndarray:
         return np.exp(-at * (1.0 + 1j * phase))
     tan_half = math.tan(math.pi * alpha / 2.0)
     return np.exp(-(at**alpha) * (1.0 - 1j * skew * np.sign(ts) * tan_half))
-
-
-def centered_sum_scale(xi: float) -> float:
-    """Coefficient c with log-CF = -c |t|^(1/xi) (1 - i sgn(t) tan(pi/(2 xi))).
-
-    c = (xi/(1-xi)) * Gamma(2 - 1/xi) * |cos(pi/(2 xi))| for xi in (1/2, 1);
-    the Levy-measure computation fixes both the sign (the cosine is negative
-    on this range, which is what keeps |CF| <= 1) and the xi/(1-xi) factor.
-    """
-    if not (0.5 < xi < 1.0):
-        raise DomainError(f"centered-sum law needs xi in (1/2, 1), got {xi}")
-    a = 1.0 / xi
-    return (xi / (1.0 - xi)) * _gamma_fn(2.0 - a) * abs(math.cos(math.pi * a / 2.0))
-
-
-def _skewed_stable_cf(c: float, alpha: float, t) -> np.ndarray:
-    ts = np.asarray(t, dtype=float)
-    tan_half = math.tan(math.pi * alpha / 2.0)
-    return np.exp(-c * np.abs(ts) ** alpha * (1.0 - 1j * np.sign(ts) * tan_half))
-
-
-def positive_stable_scale(xi: float) -> float:
-    """Coefficient for the positive stable law with index 1/xi, xi > 1."""
-    if not (xi > 1.0):
-        raise DomainError(f"positive stable law needs xi > 1, got {xi}")
-    a = 1.0 / xi
-    return _gamma_fn(1.0 - a) * math.cos(math.pi * a / 2.0)
-
-
-# Location of the alpha-one law: int_0^inf (sin u / u^2 - 1/(u(1+u))) du.
-# Integrating sin u / u^2 by parts gives 1 + int_0^inf (cos u - 1/(1+u)) du/u,
-# and that classical integral is minus Euler's constant.
-ALPHA_ONE_LOCATION = 1.0 - np.euler_gamma
-
-
-def alpha_one_cf(t) -> np.ndarray:
-    ts = np.asarray(t, dtype=float)
-    at = np.abs(ts)
-    mu = ALPHA_ONE_LOCATION
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_term = np.where(at > 0, at * np.log(at), 0.0)
-    return np.exp(1j * mu * ts - (np.pi / 2.0) * at - 1j * np.sign(ts) * log_term)
 
 
 # -- sum-over-max law -------------------------------------------------------
@@ -402,25 +343,15 @@ def sum_over_max_cf(xi: float, t) -> np.ndarray:
 
 
 def limit_cf(spec: StableSpec, t) -> np.ndarray | complex:
-    """Characteristic function of one of the limit laws at t (vectorized)."""
+    """Characteristic function of the law of spec at t (vectorized)."""
     if spec.kind == SUM_OVER_MAX:
         return sum_over_max_cf(spec.xi, t)
-    if spec.kind == ALPHA_ONE:
-        out = alpha_one_cf(t)
-    elif spec.kind == CENTERED_SUM:
-        if spec.alpha > 1.0:
-            out = _skewed_stable_cf(centered_sum_scale(spec.xi), spec.alpha, t)
-        else:
-            out = _skewed_stable_cf(positive_stable_scale(spec.xi), spec.alpha, t)
-    elif spec.kind == SIMULATION:
-        out = stable_cf(spec.alpha, spec.skew, t)
-    else:  # pragma: no cover
-        raise DomainError(f"no characteristic function for kind {spec.kind!r}")
+    out = stable_cf(spec.alpha, spec.skew, t)
     return out if np.asarray(t).ndim else complex(np.atleast_1d(out)[0])
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo draws from the limit laws
+# Monte Carlo draws
 # ---------------------------------------------------------------------------
 
 def sample_sum_over_max_statistic(
@@ -460,21 +391,13 @@ def sample_sum_over_max_statistic(
 
 
 def _limit_law_draws(spec: StableSpec, size: int, rng: RngStream, mc_k: int, mc_n: int) -> np.ndarray:
-    g = rng.generator()
     if spec.kind == SIMULATION:
-        return _cms_draws(spec.alpha, spec.skew, size, g)
-    if spec.kind == CENTERED_SUM:
-        c = centered_sum_scale(spec.xi) if spec.alpha > 1 else positive_stable_scale(spec.xi)
-        return c ** (1.0 / spec.alpha) * _cms_draws(spec.alpha, 1.0, size, g)
-    if spec.kind == ALPHA_ONE:
-        sigma = np.pi / 2.0
-        shift = ALPHA_ONE_LOCATION + (2.0 / np.pi) * sigma * math.log(sigma)
-        return sigma * _cms_draws(1.0, 1.0, size, g) + shift
+        return _cms_draws(spec.alpha, spec.skew, size, rng.generator())
     return sample_sum_over_max_statistic(spec.xi, size, rng, k=mc_k, n=mc_n)
 
 
 # ---------------------------------------------------------------------------
-# quantiles of the limit laws
+# quantiles by CF inversion or Monte Carlo
 # ---------------------------------------------------------------------------
 
 _INVERTER_TOL = 3e-6  # a-priori CDF error bound of every limit-law inverter
@@ -518,19 +441,11 @@ def _build_inverter(key: _InverterKey) -> cfinversion.GilPelaezInverter:
         t_max = max(30.0, (4.0 * k_rest / tol) ** (1.0 / (1.0 + 2.0 * a)))
         cf = lambda nodes: sum_over_max_cf(xi, nodes)
         slack = 6.0
-    elif spec.kind == ALPHA_ONE:
-        t_max = max(16.0, 2.0 * math.log(1.0 / (math.pi * tol)) / math.pi)
-        cf = alpha_one_cf
-        slack = math.log(t_max) + 1.0 + abs(ALPHA_ONE_LOCATION) + 2.0
-    else:
-        if spec.kind == CENTERED_SUM:
-            c = centered_sum_scale(spec.xi) if spec.alpha > 1 else positive_stable_scale(spec.xi)
-        else:
-            c = 1.0
+    else:  # the unit-scale simulation law
         tan_half = 1.0 if spec.alpha == 1.0 else abs(math.tan(math.pi * spec.alpha / 2.0))
-        t_max = max(8.0, (math.log(1.0 / (math.pi * tol)) / c) ** (1.0 / spec.alpha))
+        t_max = max(8.0, math.log(1.0 / (math.pi * tol)) ** (1.0 / spec.alpha))
         cf = lambda nodes: limit_cf(spec, nodes)
-        slack = c * tan_half * spec.alpha * t_max ** max(0.0, spec.alpha - 1.0) + math.log(t_max) + 2.0
+        slack = tan_half * spec.alpha * t_max ** max(0.0, spec.alpha - 1.0) + math.log(t_max) + 2.0
     return cfinversion.GilPelaezInverter.from_cf(cf, t_max, x_max, tail_err=tol, phase_slack=slack, tail=tail)
 
 

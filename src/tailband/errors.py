@@ -42,10 +42,6 @@ class BadK(TailbandError):
     pass
 
 
-class DegenerateSpacings(TailbandError):
-    pass
-
-
 class DomainError(TailbandError):
     pass
 

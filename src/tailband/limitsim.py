@@ -1,6 +1,6 @@
-"""Limit-process machinery: boundary-crossing series, Brownian bridge
-simulation, and Monte Carlo quantiles of the bridge functionals that size
-the confidence bands.
+"""Limit-process machinery: boundary-crossing series, and Monte Carlo
+quantiles of the Brownian-bridge functionals that size the confidence
+bands.
 
 Two closed forms do the analytic work:
 
@@ -13,6 +13,11 @@ Two closed forms do the analytic work:
   and direct simulation.  The other is kept behind the `form` flag.
 * doob_band_probability: P(-(alpha t + beta) <= W(t) <= a t + b for all
   t >= 0), Doob's two-linear-boundary formula.
+
+No band uses doob_band_probability (checked by the acceptance gate),
+reflection_exit_probability or mc_cone_exit_probability: the last two are
+the independent oracles, the classical reflection series and a corrected
+simulation, that the tests check cone_exit_probability against.
 
 The Gaussian cdf in the series is `_ndtr`, 0.5 * erfc(-x/sqrt 2) from the
 standard library's math.erfc, and `qq_sup_quantile` inverts the series by
@@ -271,49 +276,8 @@ def qq_sup_quantile(level: float, eps: float, terms: int = 15) -> QuantileEstima
 
 
 # ---------------------------------------------------------------------------
-# Brownian bridge simulation and band functionals
+# Brownian-bridge band functionals
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BridgePath:
-    """A Brownian bridge sampled at t_j = j/m, j = 1..m (last value exactly 0)."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=float)
-        if arr.ndim != 1 or arr.size < 2:
-            raise DomainError("bridge needs at least 2 grid values")
-        if not np.all(np.isfinite(arr)):
-            raise DomainError("bridge values must be finite")
-        if arr[-1] != 0.0:
-            raise DomainError("bridge must end at exactly 0")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
-
-    @property
-    def m(self) -> int:
-        return int(self.values.size)
-
-    def grid(self) -> np.ndarray:
-        return np.arange(1, self.m + 1) / self.m
-
-
-def simulate_bridge(m: int, rng: RngStream) -> BridgePath:
-    """Brownian bridge from cumulative Gaussian increments of variance 1/m.
-
-    B(t_j) = W(t_j) - t_j W(1); the endpoint is pinned to exactly 0.
-    """
-    if m < 2:
-        raise DomainError("grid size m must be >= 2")
-    z = rng.generator().standard_normal(m) * math.sqrt(1.0 / m)
-    w = np.cumsum(z)
-    t = np.arange(1, m + 1) / m
-    b = w - t * w[-1]
-    b[-1] = 0.0
-    return BridgePath(b)
-
 
 # Rows drawn and transformed together inside a batch: a few (16, m) buffers
 # stay in cache and replace the full-batch temporaries.
@@ -459,7 +423,7 @@ def bridge_quantiles(
 # ---------------------------------------------------------------------------
 
 def _cone_exit_worker(args) -> np.ndarray:
-    seed, stream_id, batch_index, size, grid, delta, slopes, corrected = args
+    seed, stream_id, batch_index, size, grid, delta, slopes = args
     g = RngStream(seed, stream_id).child(batch_index).generator()
     z = g.standard_normal((size, grid), dtype=np.float32)
     np.cumsum(z, axis=1, out=z)
@@ -469,9 +433,6 @@ def _cone_exit_worker(args) -> np.ndarray:
     for si, slope in enumerate(slopes):
         c = slope * math.sqrt(delta * grid)  # barrier in cumulative-sum units
         exited = (mx >= c) | (mn <= -c)
-        if not corrected:
-            sums[si] = float(np.count_nonzero(exited))
-            continue
         p_exit = exited.astype(float)
         near = ~exited & ((mx > c - 4.0) | (mn < -c + 4.0))
         idx = np.nonzero(near)[0]
@@ -500,16 +461,15 @@ def mc_cone_exit_probability(
     rng: RngStream | None = None,
     threads: int = 1,
     batch: int = 2048,
-    corrected: bool = True,
 ) -> np.ndarray:
     """Simulation oracle for cone_exit_probability, shared across slopes.
 
     Time inversion maps sup_{t>=delta}|W(t)|/t to the running maximum of a
-    Brownian motion on [0, 1/delta], simulated on `grid` equal steps.  With
-    corrected=True each path contributes its exact conditional crossing
-    probability (Brownian-bridge barrier crossing between grid points), which
-    removes the discretization bias of the plain grid maximum and shrinks the
-    variance; corrected=False gives the plain grid-max indicator.
+    Brownian motion on [0, 1/delta], simulated on `grid` equal steps.  Each
+    path contributes its exact conditional crossing probability
+    (Brownian-bridge barrier crossing between grid points), which removes
+    the discretization bias of the plain grid maximum and shrinks the
+    variance.
     Deterministic for fixed rng at any thread count.
     """
     if rng is None:
@@ -519,7 +479,7 @@ def mc_cone_exit_probability(
     slopes = tuple(float(s) for s in np.atleast_1d(slopes))
     sizes = batch_sizes(paths, batch)
     args = [
-        (rng.seed, rng.stream_id, i, size, grid, delta, slopes, corrected)
+        (rng.seed, rng.stream_id, i, size, grid, delta, slopes)
         for i, size in enumerate(sizes)
     ]
     parts = run_batches(_cone_exit_worker, args, threads)

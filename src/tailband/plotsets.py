@@ -19,13 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import (
-    OrderedSample,
-    TailIndexEstimate,
-    hill_trajectory,
-    me_at_order_statistics,
-    pickands_estimate,
-)
+from .data import OrderedSample, TailIndexEstimate, me_at_order_statistics
 from .errors import (
     BadK,
     DomainError,
@@ -41,8 +35,6 @@ ME = "me"
 ME_NORMALIZED_LT_HALF = "me-normalized-lt-half"
 ME_NORMALIZED_GT_HALF = "me-normalized-gt-half"
 ME_NORMALIZED_GT_ONE = "me-normalized-gt-one"
-HILL_KIND = "hill"
-PICKANDS_KIND = "pickands"
 
 _KINDS = (
     QQ,
@@ -51,8 +43,6 @@ _KINDS = (
     ME_NORMALIZED_LT_HALF,
     ME_NORMALIZED_GT_HALF,
     ME_NORMALIZED_GT_ONE,
-    HILL_KIND,
-    PICKANDS_KIND,
 )
 
 LT_HALF = "lt-half"
@@ -114,7 +104,7 @@ class PlotSet:
             raise DomainError("plot points must be finite")
         if self.kind not in _KINDS:
             raise DomainError(f"unknown plot kind {self.kind!r}")
-        if self.kind in (QQ, QQ_NORMALIZED, HILL_KIND, PICKANDS_KIND):
+        if self.kind in (QQ, QQ_NORMALIZED):
             if pts.shape[0] > 1 and not np.all(np.diff(pts[:, 0]) > 0):
                 raise DomainError(f"{self.kind} x-coordinates must increase strictly")
         pts = pts.copy()
@@ -321,26 +311,6 @@ def me_normalized_set(
         kind = ME_NORMALIZED_GT_ONE
         normalizers["b_n"] = b_n
     return PlotSet(np.column_stack([xs, ys]), kind, cfg, normalizers=normalizers, indices=i)
-
-
-# ---------------------------------------------------------------------------
-# estimator trajectories
-# ---------------------------------------------------------------------------
-
-def hill_plot(sample: OrderedSample, k_max: int) -> PlotSet:
-    """Hill estimates against k = 1..k_max."""
-    xi = hill_trajectory(sample, k_max)
-    k = np.arange(1, k_max + 1, dtype=float)
-    return PlotSet(np.column_stack([k, xi]), HILL_KIND, None, indices=k.astype(int))
-
-
-def pickands_plot(sample: OrderedSample, k_max: int) -> PlotSet:
-    """Pickands estimates against k = 1..k_max (needs 4*k_max <= n)."""
-    if k_max < 1 or 4 * k_max > sample.n:
-        raise BadK(f"need 4*k_max <= n; got k_max={k_max}, n={sample.n}")
-    xi = np.array([pickands_estimate(sample, k).xi for k in range(1, k_max + 1)])
-    k = np.arange(1, k_max + 1, dtype=float)
-    return PlotSet(np.column_stack([k, xi]), PICKANDS_KIND, None, indices=k.astype(int))
 
 
 # ---------------------------------------------------------------------------

@@ -185,11 +185,11 @@ def test_coverage_nested_levels_on_same_seeds():
     assert res99.coverage >= res95.coverage
 
 
-def test_coverage_level_argument_overrides_alpha():
+@pytest.mark.parametrize("replications", [0, -2])
+def test_coverage_needs_a_replication(replications):
     dist = CoverageDistribution("pareto", 0.25)
-    a = coverage_experiment(dist, 1500, PlotConfig(200, 0.05, 0.5), 8, RngStream(22), plot="qq", level=0.95)
-    b = coverage_experiment(dist, 1500, PlotConfig(200, 0.05, 0.05), 8, RngStream(22), plot="qq")
-    assert a.hits == b.hits
+    with pytest.raises(DomainError, match="at least 1 replication"):
+        coverage_experiment(dist, 1500, PlotConfig(200, 0.05, 0.05), replications, RngStream(22), plot="qq")
 
 
 def test_band_quantile_table_interpolates():

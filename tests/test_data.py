@@ -10,15 +10,12 @@ from tailband.data import (
     OrderedSample,
     empirical_me,
     hill_estimate,
-    hill_trajectory,
     ingest,
     me_at_order_statistics,
-    pickands_estimate,
     write_sample_file,
 )
 from tailband.errors import (
     BadK,
-    DegenerateSpacings,
     EmptyExceedanceSet,
     NonFiniteValue,
     NonPositiveOrderStatistic,
@@ -379,14 +376,6 @@ def test_hill_errors():
         hill_estimate(neg, 2)
 
 
-def test_hill_trajectory_matches_single_estimates():
-    rng = np.random.default_rng(6)
-    s = OrderedSample.from_data(rng.pareto(2.0, 100) + 1.0)
-    traj = hill_trajectory(s, 40)
-    for k in (1, 7, 40):
-        assert traj[k - 1] == pytest.approx(hill_estimate(s, k).xi, rel=1e-12)
-
-
 def test_hill_consistency_on_pareto_samples():
     # |xi_hat - 0.25| <= 0.03 should hold on nearly every seed at n=5e4, k=1000
     from tailband.distributions import sample_pareto
@@ -404,43 +393,3 @@ def test_hill_exact_grid_convergence():
         k = int(math.isqrt(n))
         errs.append(abs(hill_estimate(s, k).xi - 0.3))
     assert errs[1] < errs[0]
-
-
-# ---------------------------------------------------------------------------
-# Pickands estimator
-# ---------------------------------------------------------------------------
-
-def test_pickands_exact_pareto_grid():
-    s = pareto_grid(1024, 0.5)
-    est = pickands_estimate(s, 64)
-    assert est.xi == pytest.approx(0.5, abs=1e-12)
-    assert est.method == "pickands"
-
-
-def test_pickands_equal_spacings_zero():
-    # X_(4)=3, X_(8)=2, X_(16)=1: equal spacings across the k/2k/4k triple
-    values = [10, 9, 8, 3, 2.9, 2.8, 2.7, 2, 1.9, 1.8, 1.7, 1.6, 1.5, 1.4, 1.3, 1]
-    s = OrderedSample.from_data(values)
-    assert pickands_estimate(s, 4).xi == pytest.approx(0.0, abs=1e-15)
-
-
-def test_pickands_constant_data():
-    s = OrderedSample.from_data([1.0] * 8)
-    with pytest.raises(DegenerateSpacings):
-        pickands_estimate(s, 2)
-
-
-def test_pickands_bad_k():
-    s = OrderedSample.from_data([4.0, 3.0, 2.0, 1.0])
-    with pytest.raises(BadK):
-        pickands_estimate(s, 2)
-
-
-def test_pickands_affine_invariance():
-    rng = np.random.default_rng(7)
-    x = rng.pareto(2.0, 400) + 1.0
-    s = OrderedSample.from_data(x)
-    base = pickands_estimate(s, 50).xi
-    for a, b in ((2.0, 0.0), (0.3, -7.0), (1e4, 123.0)):
-        t = OrderedSample.from_data(a * x + b)
-        assert pickands_estimate(t, 50).xi == pytest.approx(base, rel=1e-9, abs=1e-9)

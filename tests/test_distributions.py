@@ -8,19 +8,12 @@ from scipy.integrate import quad
 
 from tailband.cfinversion import GilPelaezInverter
 from tailband.distributions import (
-    ALPHA_ONE,
-    ALPHA_ONE_LOCATION,
-    CENTERED_SUM,
     SIMULATION,
     SUM_OVER_MAX,
     GpdParams,
     StableSpec,
     _build_inverter,
     _InverterKey,
-    _limit_law_draws,
-    alpha_one_cf,
-    centered_sum_scale,
-    gpd_cdf,
     gpd_me,
     lambertw,
     limit_cf,
@@ -44,39 +37,13 @@ from tailband.rng import RngStream
 # GPD
 # ---------------------------------------------------------------------------
 
-def test_gpd_cdf_values():
-    assert gpd_cdf(GpdParams(0.0, 1.0), 0.0) == 0.0
-    assert gpd_cdf(GpdParams(1.0, 1.0), 1.0) == pytest.approx(0.5)
-    assert gpd_cdf(GpdParams(-0.5, 1.0), 2.0) == pytest.approx(1.0)
-
-
-def test_gpd_cdf_zero_shape_branch():
-    # |xi| below the switch uses the exponential branch, no cancellation blowup
-    assert gpd_cdf(GpdParams(1e-14, 2.0), 3.0) == pytest.approx(1 - math.exp(-1.5), rel=1e-12)
-
-
-def test_gpd_cdf_monotone_nondecreasing():
-    p = GpdParams(0.25, 1.0)
-    xs = np.linspace(0, 50, 300)
-    vals = [gpd_cdf(p, float(x)) for x in xs]
-    assert all(b >= a for a, b in zip(vals, vals[1:]))
-    assert vals[0] == 0.0
-
-
-def test_gpd_cdf_domain_errors():
-    with pytest.raises(DomainError):
-        gpd_cdf(GpdParams(0.25, 1.0), -0.1)
-    with pytest.raises(DomainError):
-        gpd_cdf(GpdParams(-0.5, 1.0), 2.1)
-    with pytest.raises(DomainError):
-        GpdParams(0.25, 0.0)
-
-
 def test_gpd_me_values():
     assert gpd_me(GpdParams(0.0, 1.0), 5.0) == pytest.approx(1.0)
     assert gpd_me(GpdParams(0.25, 1.0), 2.0) == pytest.approx(2.0)
     with pytest.raises(DomainError):
         gpd_me(GpdParams(1.0, 1.0), 0.0)
+    with pytest.raises(DomainError):
+        GpdParams(0.25, 0.0)
 
 
 def test_gpd_me_matches_simulation():
@@ -200,10 +167,6 @@ def test_stable_spec_validation():
         StableSpec(alpha=1.5, skew=2.0)
     with pytest.raises(DomainError):
         StableSpec(alpha=1.0, kind=SUM_OVER_MAX)
-    with pytest.raises(DomainError):
-        StableSpec(alpha=1.5, kind=ALPHA_ONE)
-    with pytest.raises(DomainError):
-        StableSpec(alpha=2.0, kind=CENTERED_SUM)
 
 
 # ---------------------------------------------------------------------------
@@ -212,9 +175,6 @@ def test_stable_spec_validation():
 
 LIMIT_SPECS = [
     StableSpec(alpha=1.5, skew=1.0, kind=SUM_OVER_MAX),
-    StableSpec(alpha=1.5, skew=1.0, kind=CENTERED_SUM),
-    StableSpec(alpha=0.5, skew=1.0, kind=CENTERED_SUM),
-    StableSpec(alpha=1.0, skew=1.0, kind=ALPHA_ONE),
 ]
 
 
@@ -278,58 +238,6 @@ def test_sum_over_max_cf_tail_identity(xi):
         r = _fourier_power_integral(1.0, lam, 1 + a)
         exact = -xi * np.exp(1j * lam) * lam**-a / (math.gamma(-a) * np.exp(-0.5j * math.pi * a) - r)
         assert abs(sum_over_max_cf(xi, lam) - exact) <= 1e-9 * abs(exact)
-
-
-def test_alpha_one_location_is_one_minus_euler_gamma():
-    # int_0^inf (sin u/u^2 - 1/(u(1+u))) du, split at 1: on (0, 1] the
-    # integrand is (sin u - u)/u^2 + 1/(1+u); beyond 1 the sin part goes
-    # to QAWF and int_1^inf du/(u(1+u)) = log 2.
-    head = quad(lambda u: (math.sin(u) - u) / u**2 + 1 / (1 + u), 0, 1, epsabs=1e-14)[0]
-    sin_tail = quad(lambda u: u**-2.0, 1, np.inf, weight="sin", wvar=1.0)[0]
-    assert abs(head + sin_tail - math.log(2.0) - ALPHA_ONE_LOCATION) <= 1e-10
-    assert ALPHA_ONE_LOCATION == 1.0 - np.euler_gamma
-
-
-def test_alpha_one_law_loads_no_scipy():
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import tailband
-
-    script = (
-        "import sys\n"
-        "from tailband.distributions import ALPHA_ONE, StableSpec, limit_quantile\n"
-        "limit_quantile(StableSpec(alpha=1.0, skew=1.0, kind=ALPHA_ONE), 0.9)\n"
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
-    )
-    env = dict(os.environ, PYTHONPATH=str(Path(tailband.__file__).resolve().parent.parent))
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]"]
-
-
-def test_centered_sum_scale_anchor():
-    # at xi = 2/3: (xi/(1-xi)) * Gamma(1/2) * |cos(3 pi/4)| = 2 sqrt(pi) cos(pi/4)
-    expected = 2.0 * math.sqrt(math.pi) * math.cos(math.pi / 4)
-    assert centered_sum_scale(2 / 3) == pytest.approx(expected, rel=1e-14)
-
-
-@pytest.mark.parametrize(
-    "spec",
-    [
-        StableSpec(alpha=1.5, skew=1.0, kind=CENTERED_SUM),
-        StableSpec(alpha=0.5, skew=1.0, kind=CENTERED_SUM),
-        StableSpec(alpha=1.0, skew=1.0, kind=ALPHA_ONE),
-    ],
-)
-def test_limit_law_draws_match_cf(spec):
-    # validates the CMS scale/location mapping behind the Monte Carlo draws
-    draws = _limit_law_draws(spec, 100_000, RngStream(77), mc_k=2000, mc_n=10**7)
-    ts = np.linspace(-1.5, 1.5, 13)
-    emp = np.array([np.exp(1j * t * draws).mean() for t in ts])
-    assert np.abs(emp - limit_cf(spec, ts)).max() <= 0.015
 
 
 @pytest.mark.slow
@@ -423,9 +331,8 @@ def test_sum_over_max_quantile_cross_method():
         StableSpec(alpha=1.0 / 0.7, skew=1.0, kind=SUM_OVER_MAX),
         StableSpec(alpha=1.0 / 0.9, skew=1.0, kind=SUM_OVER_MAX),
         StableSpec(alpha=2.0, skew=0.0, kind=SIMULATION),
-        StableSpec(alpha=1.0, skew=1.0, kind=ALPHA_ONE),
     ],
-    ids=["som-0.55", "som-0.7", "som-0.9", "gaussian", "alpha-one"],
+    ids=["som-0.55", "som-0.7", "som-0.9", "gaussian"],
 )
 def test_inverter_cdf_matches_dense_sum(spec):
     # The two-stage panel sum is the dense quadrature sum, reordered; both

@@ -12,18 +12,8 @@ from tailband.data import fixed_xi, me_at_order_statistics
 from tailband.rng import RngStream
 
 
-def bridge_paths(n_paths, m, stream):
-    g = stream.generator()
-    z = g.standard_normal((n_paths, m)) * math.sqrt(1.0 / m)
-    np.cumsum(z, axis=1, out=z)
-    t = np.arange(1, m + 1) / m
-    b = z - t[None, :] * z[:, -1:]
-    b[:, -1] = 0.0
-    return t, b
-
-
 @pytest.mark.slow
-def test_qq_fluctuation_sup_matches_limit_law():
+def test_qq_fluctuation_sup_matches_limit_law(bridge_paths):
     # sup_j |sqrt(k)(log(X_j/X_k) + xi log(j/k))| over j/k >= eps has the law
     # of sup_t |xi B(t)/t| on [eps, 1] up to finite-sample error
     xi, n, k, eps, reps = 0.25, 50_000, 1000, 0.05, 200
@@ -43,7 +33,7 @@ def test_qq_fluctuation_sup_matches_limit_law():
 
 
 @pytest.mark.slow
-def test_me_fluctuation_matches_limit_integral_law():
+def test_me_fluctuation_matches_limit_integral_law(bridge_paths):
     # the vertical fluctuation of the normalized ME plot at t = 1/2 has the
     # law of xi t^-1 int_0^t y^-(1+xi) B(y) dy at t = 1/2
     xi, n, k, reps = 0.25, 50_000, 3000, 200

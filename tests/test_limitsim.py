@@ -9,7 +9,6 @@ from tailband.errors import DomainError, RegimeMismatch
 from tailband.limitsim import (
     DUAL_SERIES_CROSSOVER,
     SERIES_FORM_DEFAULT,
-    BridgePath,
     QuantileEstimate,
     bridge_functional_samples,
     bridge_quantiles,
@@ -18,7 +17,6 @@ from tailband.limitsim import (
     mc_cone_exit_probability,
     qq_sup_quantile,
     reflection_exit_probability,
-    simulate_bridge,
     _bridge_functional_worker,
     _image_series,
 )
@@ -181,19 +179,9 @@ def test_quantile_estimate_invariants():
 # bridge simulation
 # ---------------------------------------------------------------------------
 
-def test_bridge_pinned_to_zero():
-    for i in range(20):
-        path = simulate_bridge(257, RngStream(1, i))
-        assert path.values[-1] == 0.0
-        assert path.m == 257
-
-
-def test_bridge_variance_and_covariance():
+def test_bridge_variance_and_covariance(bridge_paths):
     m = 64
-    paths = np.stack(
-        [simulate_bridge(m, RngStream(2, i)).values for i in range(20_000)]
-    )
-    t = np.arange(1, m + 1) / m
+    t, paths = bridge_paths(20_000, m, RngStream(2))
     i_half = m // 2 - 1
     i_quarter = m // 4 - 1
     var_half = paths[:, i_half].var()
@@ -202,18 +190,6 @@ def test_bridge_variance_and_covariance():
     cov = np.mean(paths[:, i_quarter] * paths[:, i_half])
     assert abs(cov - (0.25 * (1 - 0.5))) <= 0.01
     assert np.all(np.abs(paths.mean(axis=0)) <= 4.5 * np.sqrt(t * (1 - t) / 20_000) + 1e-12)
-
-
-def test_bridge_engine_matches_single_path_sim():
-    # the batched engine and simulate_bridge draw identical paths per stream
-    stream = RngStream(3)
-    m = 128
-    path = simulate_bridge(m, stream.child(0))
-    c, d = bridge_functional_samples([0.25], 0.1, 1, m, stream, batch=1)
-    t = np.arange(1, m + 1) / m
-    mask = t >= 0.1 - 1e-12
-    expect_c = 0.25 * np.max(path.values[mask] * t[mask] ** (-1.25))
-    assert c[0, 0] == pytest.approx(expect_c, rel=1e-12)
 
 
 def test_bridge_engine_thread_invariance():
@@ -358,10 +334,3 @@ def test_mc_cone_exit_matches_series():
         p = reflection_exit_probability(slope, 1.0)
         se = math.sqrt(p * (1 - p) / 60_000)
         assert abs(p_hat - p) <= 4 * se + 5e-4
-
-
-def test_bridge_path_validation():
-    with pytest.raises(DomainError):
-        BridgePath(np.array([0.1, 0.2]))  # endpoint not pinned
-    with pytest.raises(DomainError):
-        BridgePath(np.array([np.nan, 0.0]))

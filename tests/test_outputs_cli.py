@@ -502,6 +502,18 @@ def test_analyze_conservative_xi(sample_file, tmp_path):
     assert width2 == pytest.approx(1.5 * width1, rel=1e-9)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("flag", ["--xi", "--conservative-xi"])
+def test_analyze_non_finite_shape_refused(sample_file, tmp_path, capsys, flag, value):
+    code = run_cli(
+        "analyze", sample_file, "--plot", "qq", "--k", 300, "--eps", 0.05, "--band",
+        flag, value, "--outdir", tmp_path / "o",
+    )
+    assert code == 2
+    assert capsys.readouterr().err == "DomainError: xi must be finite\n"
+    assert not (tmp_path / "o").exists()
+
+
 # ---------------------------------------------------------------------------
 # quantiles
 # ---------------------------------------------------------------------------
@@ -650,6 +662,16 @@ def test_coverage_me_plot_and_single_replication(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert len(report["per_replication"]) == 1
     assert report["coverage"] in (0.0, 1.0)
+
+
+@pytest.mark.parametrize("replications", ["0", "-2"])
+def test_coverage_replications_below_one_rejected(tmp_path, capsys, replications):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("coverage", "--xi", 0.25, "--n", 1500, "--k", 200, "--eps", 0.05,
+                "--replications", replications, "--outdir", tmp_path / "o")
+    assert exc.value.code == 2
+    assert "argument --replications: must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_manifest_replay_reproduces_outputs(tmp_path):

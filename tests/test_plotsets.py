@@ -21,11 +21,9 @@ from tailband.plotsets import (
     PlotConfig,
     PlotSet,
     hausdorff_to_limit,
-    hill_plot,
     me_limit_set,
     me_normalized_set,
     me_set,
-    pickands_plot,
     qq_limit_set,
     qq_normalized_set,
     qq_set,
@@ -204,31 +202,6 @@ def test_me_normalized_gt_one_uses_quantile_function():
     me_plain = me_set(s, cfg)
     expect = me_plain.y * s.values[cfg.k - 1] / (b(2000) / cfg.k)
     assert np.allclose(ps.y, expect, rtol=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# estimator trajectories
-# ---------------------------------------------------------------------------
-
-def test_hill_plot_hand_example():
-    s = OrderedSample.from_data([math.e**3, math.e**2, math.e, 1.0])
-    ps = hill_plot(s, 3)
-    assert np.allclose(ps.points, [[1, 1], [2, 1.5], [3, 2]])
-    assert len(hill_plot(s, 1)) == 1
-
-
-def test_hill_plot_error_propagation():
-    s = OrderedSample.from_data([3.0, 2.0, 1.0, -1.0])
-    with pytest.raises(NonPositiveOrderStatistic):
-        hill_plot(s, 3)
-
-
-def test_pickands_plot_exact_grid():
-    s = pareto_grid_sample(1024, 0.5)
-    ps = pickands_plot(s, 64)
-    assert np.abs(ps.y - 0.5).max() < 1e-10
-    with pytest.raises(BadK):
-        pickands_plot(s, 300)
 
 
 # ---------------------------------------------------------------------------
