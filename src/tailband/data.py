@@ -279,17 +279,21 @@ def ingest(path: str | Path, format: str = PLAIN, column: int = 0, digest=None) 
     return OrderedSample.from_data(values)
 
 
+_WRITE_CHUNK = 1 << 16  # values formatted per write: about 1.2 MB of text
+
+
 def write_sample_file(sample: OrderedSample | np.ndarray, path: str | Path) -> None:
     """Write one value per line in the format `ingest` reads back.
 
     Floats are written in shortest round-trip form, so
-    ingest(write(ingest(f))) is the identity on the ordered values.
+    ingest(write(ingest(f))) is the identity on the ordered values.  They
+    are formatted a column at a time, in chunks of _WRITE_CHUNK values so
+    that the text of a large sample is never held at once.
     """
     values = sample.values if isinstance(sample, OrderedSample) else np.asarray(sample, dtype=float)
     with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
-        for v in values:
-            fh.write(repr(float(v)))
-            fh.write("\n")
+        for start in range(0, len(values), _WRITE_CHUNK):
+            fh.write("\n".join(map(repr, values[start:start + _WRITE_CHUNK].tolist())) + "\n")
 
 
 # ---------------------------------------------------------------------------

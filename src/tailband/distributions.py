@@ -87,17 +87,27 @@ def sample_pareto(xi: float, n: int, rng: RngStream) -> OrderedSample:
     if n < 2:
         raise DomainError("need n >= 2")
     u = _open_unit_uniform(rng.generator(), n)
-    return OrderedSample.from_data(u ** (-xi))
+    with np.errstate(over="ignore"):
+        x = u ** (-xi)
+    return _finite_draws(x, f"pareto shape xi={xi}")
 
 
 def sample_gpd(p: GpdParams, n: int, rng: RngStream) -> OrderedSample:
     if n < 2:
         raise DomainError("need n >= 2")
     u = _open_unit_uniform(rng.generator(), n)
-    if abs(p.xi) < XI_ZERO_TOL:
-        x = -p.beta * np.log(u)
-    else:
-        x = p.beta * (u ** (-p.xi) - 1.0) / p.xi
+    with np.errstate(over="ignore"):
+        if abs(p.xi) < XI_ZERO_TOL:
+            x = -p.beta * np.log(u)
+        else:
+            x = p.beta * (u ** (-p.xi) - 1.0) / p.xi
+    return _finite_draws(x, f"gpd shape xi={p.xi} with beta={p.beta}")
+
+
+def _finite_draws(x: np.ndarray, law: str) -> OrderedSample:
+    # an overflowing draw is the shape's fault, not a line of an input file
+    if not np.isfinite(x).all():
+        raise DomainError(f"{law} gives draws too large for a float")
     return OrderedSample.from_data(x)
 
 

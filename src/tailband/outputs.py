@@ -2,7 +2,9 @@
 
 Float formatting rules keep every byte reproducible: CSV uses the shortest
 round-trip representation (repr), SVG uses 9 significant digits, JSON is
-emitted with sorted keys, and nothing embeds timestamps.
+emitted with sorted keys, and nothing embeds timestamps.  Numbers are
+formatted a column at a time (`tolist()` and `map`, no Python loop per
+value), and each file is written in one call.
 """
 from __future__ import annotations
 
@@ -10,7 +12,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -21,17 +23,20 @@ from .plotsets import PlotSet
 MANIFEST_NAME = "run_manifest.json"
 
 
-def format_float(v: float) -> str:
-    """Shortest decimal string that round-trips to the same float."""
-    return repr(float(v))
-
-
-def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(format_float(c) if isinstance(c, (int, float, np.floating)) else str(c) for c in row))
-            fh.write("\n")
+def write_csv(path: str | Path, header: Sequence[str], columns: Sequence) -> None:
+    """Write equal-length numeric columns, each value in the shortest decimal
+    form that round-trips to the same float (repr).  Columns with the same
+    bytes are formatted once."""
+    texts: dict[bytes, list[str]] = {}
+    cells = []
+    for col in columns:
+        col = np.asarray(col, dtype=float)
+        key = col.tobytes()
+        if key not in texts:
+            texts[key] = list(map(repr, col.tolist()))
+        cells.append(texts[key])
+    lines = [",".join(header), *map(",".join, zip(*cells))]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
 def json_dumps(payload) -> str:
@@ -51,13 +56,12 @@ def file_sha256(path: str | Path) -> str:
 
 
 def write_plot_csv(path: str | Path, plot: PlotSet) -> None:
-    write_csv(path, ["x", "y"], plot.points)
+    write_csv(path, ["x", "y"], [plot.x, plot.y])
 
 
 def write_band_csv(path: str | Path, band: ConfidenceBand) -> None:
     xlo, xhi, ylo, yhi = band.rectangles()
-    rows = zip(band.base.x, band.base.y, xlo, xhi, ylo, yhi)
-    write_csv(path, ["x", "y", "xlo", "xhi", "ylo", "yhi"], rows)
+    write_csv(path, ["x", "y", "xlo", "xhi", "ylo", "yhi"], [band.base.x, band.base.y, xlo, xhi, ylo, yhi])
 
 
 @dataclass(frozen=True)
@@ -114,6 +118,9 @@ def _fmt(v: float) -> str:
     return f"{v:.9g}"
 
 
+_POINT_FMT = "{:.9g},{:.9g}"  # one polygon or polyline point, in pixels
+
+
 def render_plot_svg(
     plot: PlotSet,
     bands: Sequence[ConfidenceBand] = (),
@@ -148,14 +155,16 @@ def render_plot_svg(
     inner_w = _WIDTH - _MARGIN_L - _MARGIN_R
     inner_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 
-    def sx(v: float) -> float:
+    # sx and sy map a float or a whole array; numpy rounds each operation as
+    # Python does, so a point's pixels do not depend on which one was passed
+    def sx(v):
         return _MARGIN_L + (v - x_lo) / (x_hi - x_lo) * inner_w
 
-    def sy(v: float) -> float:
+    def sy(v):
         return _HEIGHT - _MARGIN_B - (v - y_lo) / (y_hi - y_lo) * inner_h
 
     def poly_points(px: np.ndarray, py: np.ndarray) -> str:
-        return " ".join(f"{_fmt(sx(a))},{_fmt(sy(b))}" for a, b in zip(px, py))
+        return " ".join(map(_POINT_FMT.format, sx(px).tolist(), sy(py).tolist()))
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{_fmt(_WIDTH)}" height="{_fmt(_HEIGHT)}" '

@@ -6,11 +6,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tailband import outputs
+from tailband.bands import qq_band
 from tailband.cli import _CACHE_HEADER, _CACHE_NUMERICS, main
-from tailband.data import ingest
+from tailband.data import OrderedSample, fixed_xi, ingest, write_sample_file
+from tailband.distributions import sample_pareto
 from tailband.limitsim import qq_sup_quantile
-from tailband.outputs import file_sha256, format_float, render_plot_svg, write_csv
-from tailband.plotsets import PlotConfig, PlotSet
+from tailband.outputs import file_sha256, render_plot_svg, write_band_csv, write_csv, write_plot_csv
+from tailband.plotsets import PlotConfig, PlotSet, qq_set
+from tailband.rng import RngStream
 
 
 def run_cli(*argv):
@@ -25,14 +29,17 @@ def read(path):
 # primitives
 # ---------------------------------------------------------------------------
 
-def test_format_float_roundtrip():
-    for v in (0.1, 1 / 3, 1e-300, 12345.678901234567, -0.0):
-        assert float(format_float(v)) == v
+def test_format_float_roundtrip(tmp_path):
+    values = [0.1, 1 / 3, 1e-300, 12345.678901234567, -0.0]
+    p = tmp_path / "t.csv"
+    write_csv(p, ["v"], [values])
+    back = [float(line) for line in p.read_text().splitlines()[1:]]
+    assert np.array(back).tobytes() == np.array(values).tobytes()
 
 
 def test_write_csv_deterministic(tmp_path):
     p = tmp_path / "t.csv"
-    write_csv(p, ["x", "y"], [(0.1, 0.2), (1e-5, 3)])
+    write_csv(p, ["x", "y"], [(0.1, 1e-5), (0.2, 3)])
     assert p.read_text() == "x,y\n0.1,0.2\n1e-05,3.0\n"
 
 
@@ -43,6 +50,169 @@ def test_svg_renderer_deterministic():
     b = render_plot_svg(plot, reference_slope=2.0, title="demo")
     assert a == b
     assert "date" not in a.lower() and "time" not in a.lower()
+
+
+# ---------------------------------------------------------------------------
+# the column writers against the per-value writers they replaced
+# ---------------------------------------------------------------------------
+
+def _per_value_csv(header, rows):
+    """The CSV writer as one call per value: the reference for write_csv."""
+    text = ",".join(header) + "\n"
+    for row in rows:
+        text += ",".join(repr(float(c)) if isinstance(c, (int, float, np.floating)) else str(c) for c in row)
+        text += "\n"
+    return text
+
+
+def _per_value_sample_text(values):
+    """The sample writer as one call per value: the reference for write_sample_file."""
+    return "".join(repr(float(v)) + "\n" for v in values)
+
+
+def _fmt9(v):
+    return f"{v:.9g}"
+
+
+def _per_point_svg(plot, bands=(), reference_slope=None, title="", coord=_fmt9):
+    """The SVG renderer with one scalar sx/sy call and one format per point:
+    the reference for render_plot_svg.  `coord` formats a polygon or polyline
+    coordinate (9 significant digits in the file)."""
+    width, height = 860.0, 620.0
+    margin_l, margin_r, margin_t, margin_b = 70.0, 20.0, 30.0, 50.0
+    fills = ("#c6dbef", "#9ecae1", "#6baed6")
+    xs, ys = [plot.x], [plot.y]
+    for band in bands:
+        xlo, xhi, ylo, yhi = band.rectangles()
+        xs.extend([xlo, xhi])
+        ys.extend([ylo, yhi])
+    all_x, all_y = np.concatenate(xs), np.concatenate(ys)
+    if reference_slope is not None:
+        all_y = np.concatenate([all_y, reference_slope * np.array([all_x.min(), all_x.max()])])
+    x_lo, x_hi = float(all_x.min()), float(all_x.max())
+    y_lo, y_hi = float(all_y.min()), float(all_y.max())
+    if x_hi - x_lo <= 0:
+        x_hi = x_lo + 1.0
+    if y_hi - y_lo <= 0:
+        y_hi = y_lo + 1.0
+    pad_x, pad_y = 0.03 * (x_hi - x_lo), 0.05 * (y_hi - y_lo)
+    x_lo, x_hi = x_lo - pad_x, x_hi + pad_x
+    y_lo, y_hi = y_lo - pad_y, y_hi + pad_y
+    inner_w = width - margin_l - margin_r
+    inner_h = height - margin_t - margin_b
+
+    def sx(v):
+        return margin_l + (v - x_lo) / (x_hi - x_lo) * inner_w
+
+    def sy(v):
+        return height - margin_b - (v - y_lo) / (y_hi - y_lo) * inner_h
+
+    def poly_points(px, py):
+        return " ".join(f"{coord(sx(a))},{coord(sy(b))}" for a, b in zip(px, py))
+
+    f = _fmt9
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{f(width)}" height="{f(height)}" '
+        f'viewBox="0 0 {f(width)} {f(height)}">',
+        f'<rect width="{f(width)}" height="{f(height)}" fill="#ffffff"/>',
+    ]
+    for i, band in enumerate(bands):
+        _, _, ylo, yhi = band.rectangles()
+        px = np.concatenate([band.base.x, band.base.x[::-1]])
+        py = np.concatenate([yhi, ylo[::-1]])
+        fill = fills[min(i, len(fills) - 1)]
+        parts.append(f'<polygon points="{poly_points(px, py)}" fill="{fill}" stroke="none"/>')
+    if reference_slope is not None:
+        rx = np.array([max(x_lo, plot.x.min()), min(x_hi, plot.x.max())])
+        ry = reference_slope * rx
+        parts.append(
+            f'<line x1="{f(sx(rx[0]))}" y1="{f(sy(ry[0]))}" x2="{f(sx(rx[1]))}" '
+            f'y2="{f(sy(ry[1]))}" stroke="#a63603" stroke-width="1.5" stroke-dasharray="6,4"/>'
+        )
+    parts.append(f'<polyline points="{poly_points(plot.x, plot.y)}" fill="none" stroke="#000000" stroke-width="1.2"/>')
+    x0, y0 = margin_l, height - margin_b
+    parts.append(f'<line x1="{f(x0)}" y1="{f(y0)}" x2="{f(width - margin_r)}" y2="{f(y0)}" stroke="#333333"/>')
+    parts.append(f'<line x1="{f(x0)}" y1="{f(y0)}" x2="{f(x0)}" y2="{f(margin_t)}" stroke="#333333"/>')
+    for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
+        vx = x_lo + frac * (x_hi - x_lo)
+        vy = y_lo + frac * (y_hi - y_lo)
+        parts.append(
+            f'<line x1="{f(sx(vx))}" y1="{f(y0)}" x2="{f(sx(vx))}" y2="{f(y0 + 5)}" stroke="#333333"/>'
+            f'<text x="{f(sx(vx))}" y="{f(y0 + 18)}" font-size="11" text-anchor="middle" '
+            f'font-family="monospace">{f(round(vx, 6))}</text>'
+        )
+        parts.append(
+            f'<line x1="{f(x0 - 5)}" y1="{f(sy(vy))}" x2="{f(x0)}" y2="{f(sy(vy))}" stroke="#333333"/>'
+            f'<text x="{f(x0 - 8)}" y="{f(sy(vy) + 4)}" font-size="11" text-anchor="end" '
+            f'font-family="monospace">{f(round(vy, 6))}</text>'
+        )
+    if title:
+        parts.append(
+            f'<text x="{f(width / 2)}" y="{f(margin_t - 10)}" font-size="13" text-anchor="middle" '
+            f'font-family="monospace">{title}</text>'
+        )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+# edge floats: signed zero, the smallest subnormal, tiny and huge normals,
+# integer-valued floats (repr keeps ".0"; 1e22 and 2**53 switch notation)
+_EDGE_FLOATS = np.array([-0.0, 5e-324, 1e-300, 1e308, 3.0, -7.0, 2.0**53, 1e16, 1e22, 0.1, 1 / 3, 0.0])
+
+
+def _qq_bands():
+    s = sample_pareto(0.25, 3000, RngStream(11))
+    xi = fixed_xi(0.25)
+    return [qq_band(s, PlotConfig(400, 0.05, alpha), xi) for alpha in (0.01, 0.05)]
+
+
+def test_csv_writer_matches_per_value_writer(tmp_path):
+    a = _EDGE_FLOATS
+    plus_zero = a + 0.0  # equal to a, but not in bytes: -0.0 becomes 0.0
+    cases = [
+        (["a", "b", "a2", "a3", "z", "neg"], [a, a[::-1], a, a.copy(), plus_zero, -a]),  # repeated columns
+        (["x", "y"], [a[3:4], a[:1]]),  # a single row
+        (["x", "y"], [np.empty(0), np.empty(0)]),  # no row
+        (["n", "m"], [[1, 2, -3], (4.0, 5e-324, -0.0)]),  # ints and tuples
+    ]
+    for i, (header, columns) in enumerate(cases):
+        p = tmp_path / f"c{i}.csv"
+        write_csv(p, header, columns)
+        assert p.read_bytes() == _per_value_csv(header, zip(*columns)).encode(), header
+    band = _qq_bands()[0]
+    write_band_csv(tmp_path / "band.csv", band)
+    rows = zip(band.base.x, band.base.y, *band.rectangles())
+    assert (tmp_path / "band.csv").read_bytes() == _per_value_csv(["x", "y", "xlo", "xhi", "ylo", "yhi"], rows).encode()
+    write_plot_csv(tmp_path / "plot.csv", band.base)
+    assert (tmp_path / "plot.csv").read_bytes() == _per_value_csv(["x", "y"], band.base.points).encode()
+
+
+def test_svg_renderer_matches_per_point_renderer(monkeypatch):
+    bands = _qq_bands()
+    # a QQ plot's x increases strictly: drop 1e308 (the frame would overflow) and +0.0
+    edge = _EDGE_FLOATS[(np.abs(_EDGE_FLOATS) < 1e300) & (np.signbit(_EDGE_FLOATS) | (_EDGE_FLOATS != 0))]
+    cases = [
+        (bands[0].base, bands, 0.25, "qq"),  # two band polygons, widest first
+        (PlotSet(np.column_stack([np.sort(edge), edge]), "qq", PlotConfig(10, 0.05)), (), -2.0, ""),
+        (PlotSet(np.array([[5e-324, -0.0]]), "qq", PlotConfig(10, 0.05)), (), None, ""),  # one point
+    ]
+    for plot, case_bands, slope, title in cases:
+        assert render_plot_svg(plot, case_bands, slope, title) == _per_point_svg(plot, case_bands, slope, title)
+    # the file keeps 9 digits, which hide a last-bit change in a pixel
+    # coordinate: compare the coordinates at full precision as well
+    monkeypatch.setattr(outputs, "_POINT_FMT", "{!r},{!r}")
+    for plot, case_bands, slope, title in cases:
+        new = render_plot_svg(plot, case_bands, slope, title)
+        assert new == _per_point_svg(plot, case_bands, slope, title, coord=lambda v: repr(float(v)))
+
+
+def test_sample_writer_matches_per_value_writer(tmp_path):
+    draws = sample_pareto(0.5, 2 * (1 << 16) + 5, RngStream(4))  # past two chunk edges
+    for i, values in enumerate([draws, _EDGE_FLOATS, np.empty(0), np.array([1e308])]):
+        p = tmp_path / f"s{i}.txt"
+        write_sample_file(values, p)
+        expected = values.values if isinstance(values, OrderedSample) else values
+        assert p.read_bytes() == _per_value_sample_text(expected).encode(), i
 
 
 # ---------------------------------------------------------------------------
@@ -73,6 +243,23 @@ def test_simulate_env_seed(tmp_path, monkeypatch):
     run_cli("simulate", "--dist", "gpd", "--xi", "0.25", "--beta", "2", "--n", 20, "--out", out1)
     run_cli("simulate", "--dist", "gpd", "--xi", "0.25", "--beta", "2", "--n", 20, "--seed", 9, "--out", out2)
     assert read(out1) == read(out2)
+
+
+@pytest.mark.parametrize("dist, xi", [("pareto", "inf"), ("pareto", "1e308"), ("gpd", "1e308")])
+def test_simulate_overflowing_shape_refused(tmp_path, capsys, dist, xi):
+    out = tmp_path / "s.txt"
+    assert run_cli("simulate", "--dist", dist, "--xi", xi, "--n", 10, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"DomainError: {dist} shape xi={float(xi)} ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("dist", ["pareto", "gpd"])
+def test_simulate_large_finite_shape_works(tmp_path, capsys, dist):
+    out = tmp_path / "s.txt"
+    assert run_cli("simulate", "--dist", dist, "--xi", 40, "--n", 100_000, "--seed", 1, "--out", out) == 0
+    assert capsys.readouterr().err == ""
+    assert ingest(out).n == 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +373,30 @@ def test_analyze_missing_file_exit_code(tmp_path, capsys):
     code = run_cli("analyze", tmp_path / "nope.txt", "--plot", "qq", "--k", 10, "--eps", 0.05, "--outdir", tmp_path / "o")
     assert code == 2
     assert "FileNotFound" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["analyze", "{f}", "--outdir", "{file}"], "FileExistsError"),
+        (["analyze", "{f}", "--outdir", "{o}", "--svg", "{dir}"], "IsADirectoryError"),
+        (["analyze", "{dir}", "--outdir", "{o}"], "IsADirectoryError"),
+        (["simulate", "--dist", "pareto", "--xi", "0.5", "--n", "10", "--out", "{dir}"], "IsADirectoryError"),
+    ],
+    ids=["outdir-is-a-file", "svg-is-a-directory", "input-is-a-directory", "simulate-out-is-a-directory"],
+)
+def test_path_of_the_wrong_kind_exit_code(tmp_path, capsys, argv, error):
+    f = tmp_path / "f.txt"
+    f.write_text("8\n4\n2\n1\n")
+    (tmp_path / "file").write_text("")
+    (tmp_path / "dir").mkdir()
+    paths = {"f": f, "file": tmp_path / "file", "dir": tmp_path / "dir", "o": tmp_path / "o"}
+    argv = [a.format(**paths) for a in argv]
+    if argv[0] == "analyze":
+        argv += ["--plot", "qq", "--k", "2", "--eps", "0.01"]
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{error}: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
