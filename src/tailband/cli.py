@@ -14,6 +14,7 @@ command reproduces the outputs byte for byte.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import errno
 import hashlib
 import os
 import shlex
@@ -207,6 +208,10 @@ def _quantile_payload(q: QuantileEstimate | float) -> dict | float:
 def cmd_analyze(args: argparse.Namespace, argv: list[str]) -> int:
     seed = _seed_of(args)
     stream = RngStream(seed)
+    outdir = Path(args.outdir)
+    svg_path = None if args.svg is None else outdir / args.svg  # an absolute --svg stays as given
+    if svg_path is not None and svg_path.is_dir():  # refused before anything is written
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(svg_path))
     input_sha256 = hashlib.sha256()
     sample = ingest(args.input, args.format, args.column, digest=input_sha256)
     cfg = PlotConfig(args.k, args.eps, args.alpha)
@@ -219,7 +224,6 @@ def cmd_analyze(args: argparse.Namespace, argv: list[str]) -> int:
             raise DomainError("--conservative-xi factor must be positive")
         xi_est = TailIndexEstimate(xi_est.xi * args.conservative_xi, FIXED, xi_est.k)
 
-    outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
 
@@ -257,10 +261,7 @@ def cmd_analyze(args: argparse.Namespace, argv: list[str]) -> int:
     write_json(meta_json, meta)
     written.append(meta_json)
 
-    if args.svg is not None:
-        svg_path = Path(args.svg)
-        if not svg_path.is_absolute():
-            svg_path = outdir / svg_path
+    if svg_path is not None:
         slope = xi_est.xi if args.plot == QQ else xi_est.xi / (1.0 - xi_est.xi)
         title = f"{plot.kind} plot, k={cfg.k}, eps={cfg.eps}"
         write_plot_svg(svg_path, plot, bands, reference_slope=slope, title=title)

@@ -1,5 +1,11 @@
 """Sample ingestion, order statistics, and the Hill tail-index estimator.
 
+`ingest` reads plain input through an exact vectorized decimal kernel: the
+lines of the form -?digits[.digits] (at most 19 digits) are parsed in bulk
+with numpy and one extended-precision division per line, bit-identical to
+float(); every other line takes the float() path and, when float() rejects
+it, the line loop that reports errors (see `ingest`).
+
 The central object is OrderedSample: the input data sorted in decreasing
 order, X_(1) >= X_(2) >= ... >= X_(n).  Everything downstream (mean-excess
 evaluation, Hill estimation, plot construction) works off the order
@@ -9,6 +15,7 @@ from __future__ import annotations
 
 import io
 import math
+import sys
 from array import array
 from dataclasses import dataclass
 from itertools import chain
@@ -16,6 +23,7 @@ from pathlib import Path
 from typing import Iterable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     BadK,
@@ -117,9 +125,11 @@ def _parse_float(token: str, line_number: int) -> float:
     return value
 
 
-# Characters per chunk of lines read by `_chunks`: big enough to amortise
-# the read, small enough that no whole-file line list is built.
-_CHUNK_CHARS = 1 << 20
+# Characters per chunk read by `_texts`: big enough to amortise the read and
+# the decimal kernel's per-call overhead, small enough that the kernel's
+# (_WIDTH, lines) blocks stay below a megabyte (at 1 MiB they raised the
+# peak RSS of a 10**6-line run by 10 MB; 64 KiB was among the lowest).
+_CHUNK_CHARS = 1 << 16
 
 
 def _parse_lines(lines: Iterable[str], format: str, column: int,
@@ -199,44 +209,158 @@ def _ingest_lines(path: Path, format: str, column: int) -> list[float]:
     return out
 
 
-def _chunks(fh):
-    """The lines of `fh` in chunks, without their newlines: each chunk holds
-    the lines fh.readlines(_CHUNK_CHARS) would return, as the text of
-    fh.read(_CHUNK_CHARS) completed by fh.readline() and split at the
-    (already translated) newlines.  Reading text in bulk keeps the text
-    layer's per-line overhead off the loop, which matters because fh reads
-    through the Python-level raw layer `_HashingReader`."""
+def _texts(fh):
+    """The text of `fh` in chunks of whole lines: each chunk is
+    fh.read(_CHUNK_CHARS) completed by fh.readline(), so it ends with a
+    (translated) newline except at the end of a file without one.  Reading
+    text in bulk keeps the text layer's per-line overhead off the loop,
+    which matters because fh reads through the Python-level raw layer
+    `_HashingReader`."""
     while text := fh.read(_CHUNK_CHARS):
-        lines = (text + fh.readline()).split("\n")
-        if not lines[-1]:
-            lines.pop()  # the text ends with a newline
-        yield lines
+        yield text + fh.readline()
+
+
+def _lines(text: str) -> list[str]:
+    """The lines of a `_texts` chunk, without their newlines."""
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()  # the text ends with a newline
+    return lines
+
+
+# The decimal kernel.  A line of the form -?digits[.digits] with at most 19
+# digits (also "1." and ".5") is the integer M < 10**19 < 2**64 over 10**f,
+# f <= 19.  Both are exact in the 64-bit significand of the x87 extended
+# format, so M / 10**f in that format rounds once; rounding the quotient
+# again to a double gives float()'s correctly rounded value unless the
+# quotient lies exactly halfway between two doubles (its low 11 significand
+# bits are 0x400), and those lines are rejected.  The check reads the
+# significand as the first uint64 of each 16-byte long double, so the kernel
+# runs only where that is the layout; elsewhere every line goes to float().
+_EXACT_KERNEL = (np.finfo(np.longdouble).nmant == 63 and np.dtype(np.longdouble).itemsize == 16
+                 and sys.byteorder == "little")
+_WIDTH = 21  # a sign, a point and 19 digits
+_ROWS = np.arange(_WIDTH, dtype=np.uint8)[:, None]
+_POW10 = np.array([float(10**f) for f in range(_WIDTH)], dtype=np.longdouble)  # exact to 10**22
+
+
+def _parse_decimals(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Values of the lines of an ASCII chunk that are plain decimals.
+
+    Returns (values, accepted, ends): one float64 per line, bit-identical to
+    float(line) where `accepted` is true, and the offset in `text` of the
+    line's newline.  Each line's last _WIDTH bytes are gathered
+    right-aligned into the columns of a (_WIDTH, lines) uint8 block, so that
+    every step below works on whole rows: classify the bytes, count digits
+    and points, shift the digits left of the point one row down, and fold
+    the digit rows into M with uint8, uint16 and uint64 arithmetic.
+    """
+    w = _WIDTH
+    padded = ("\n" * w + text + ("" if text.endswith("\n") else "\n")).encode("ascii")
+    data = np.frombuffer(padded, dtype=np.uint8)
+    newlines = np.flatnonzero(data == 10)[w:]  # the padding's own newlines dropped
+    length = np.diff(newlines, prepend=w - 1) - 1
+    negative = data[newlines - length] == 45  # "-" first (an empty line reads its newline)
+    body = np.minimum(length - negative, w).astype(np.uint8)  # the characters after the sign
+
+    block = np.ascontiguousarray(sliding_window_view(data, w)[newlines - w].T)
+    block -= np.uint8(48)  # "0" -> 0, ..., "9" -> 9, "." -> 254
+    inside = _ROWS >= w - body
+    digit = block < 10
+    digit &= inside
+    point = block == 254
+    point &= inside
+    digits = np.add.reduce(digit, 0, dtype=np.uint8)
+    points = np.add.reduce(point, 0, dtype=np.uint8)
+    accepted = ((digits + points == body) & (points <= 1) & (digits > 0) & (digits <= 19)
+                & (length <= w))
+
+    row = np.add.reduce(point * _ROWS, 0, dtype=np.uint8)  # the point's row, 0 without one
+    block *= digit
+    low = block[1:]  # rows 1..w-1, which hold every digit once the point is squeezed out
+    step = block[:-1] - low
+    step *= _ROWS[1:] <= row
+    low += step
+    pairs = low[0::2] * np.uint8(10) + low[1::2]
+    quads = pairs[0::2].astype(np.uint16) * np.uint16(100) + pairs[1::2]
+    mantissa = quads[0].astype(np.uint64)
+    for q in quads[1:]:
+        mantissa *= np.uint64(10_000)
+        mantissa += q
+    scale = np.where(accepted & (points > 0), w - 1 - row, 0)
+    quotient = mantissa.astype(np.longdouble) / _POW10[scale]
+    accepted &= (quotient.view(np.uint64)[::2] & 0x7FF) != 0x400
+    values = quotient.astype(np.float64)
+    np.negative(values, out=values, where=negative)
+    return values, accepted, newlines - w
+
+
+def _parse_each(lines: list[str], line_numbers) -> tuple[np.ndarray, list[int]]:
+    """Values of `lines` through float() in bulk, with the line loop's
+    outcome for each line float() rejects.
+
+    Returns one value per line and the indices of the lines the line loop
+    skipped (comments and blank lines, whose values are 0).  A rejected line
+    goes alone through `_parse_lines` with its own number from
+    `line_numbers`, so it is skipped or raises there; a non-finite value is
+    sent there too, before any later line, so the first error in the file
+    is the one raised.
+    """
+    out = array("d")
+    skipped = []
+    rest = iter(lines)
+    while True:
+        start = len(out)
+        try:
+            out.extend(map(float, rest))
+            failed = False
+        except ValueError:
+            failed = True  # array.extend keeps the values parsed before the failure
+        finite = np.isfinite(np.frombuffer(out, offset=8 * start))
+        if not finite.all():
+            i = start + int(np.argmin(finite))
+            _parse_lines([lines[i]], PLAIN, 0, line_numbers[i])  # raises NonFiniteValue
+        if not failed:
+            return np.frombuffer(out), skipped
+        i = len(out)  # the line float() rejected; map() has moved `rest` past it
+        value = _parse_lines([lines[i]], PLAIN, 0, line_numbers[i])
+        if not value:
+            skipped.append(i)
+        out.extend(value or [0.0])
 
 
 def _read_plain(fh) -> array:
-    """Values of a plain file, read in `_chunks` from one pass over `fh`.
+    """Values of a plain file, read in `_texts` chunks from one pass over `fh`.
 
-    Each chunk goes through float() into one array("d") buffer.  At the
-    first line float() rejects (a comment, a blank line, a bad token, bytes
-    that are not UTF-8), the rest of that chunk is handed to the line loop,
-    which skips the line or raises with its number, and the next chunk is
-    read fast again.  A non-finite value among the fast-parsed lines sends
-    those lines through the line loop, which raises at the first of them.
+    An ASCII chunk goes through the decimal kernel `_parse_decimals`; the
+    lines it does not accept (exponents, "+", whitespace, "_", inf and nan,
+    comments, blank lines, bad tokens, more than 19 digits, halfway
+    quotients) go through `_parse_each` in file order with their own line
+    numbers and take their places among the kernel's values.  A chunk that
+    is not ASCII (or every chunk, without the extended format) goes through
+    `_parse_each` whole.  The line loop `_parse_lines` stays the single
+    source of every error and line number.
     """
     buf = array("d")
     line_number = 1  # of the chunk's first line
-    for lines in _chunks(fh):
-        start = len(buf)
-        try:
-            buf.extend(map(float, lines))
-        except ValueError:
-            pass  # array.extend keeps the values parsed before the failure
-        done = len(buf) - start
-        if not np.isfinite(np.frombuffer(buf, offset=8 * start)).all():
-            _parse_lines(lines[:done], PLAIN, 0, line_number)  # raises NonFiniteValue
-        if done < len(lines):
-            buf.extend(_parse_lines(lines[done:], PLAIN, 0, line_number + done))
-        line_number += len(lines)
+    for text in _texts(fh):
+        if _EXACT_KERNEL and text.isascii():
+            values, accepted, ends = _parse_decimals(text)
+            rejected = np.flatnonzero(~accepted)
+            if rejected.size:
+                starts = np.concatenate(([0], ends[:-1] + 1))
+                lines = [text[a:b] for a, b in zip(starts[rejected].tolist(), ends[rejected].tolist())]
+                parsed, skipped = _parse_each(lines, (rejected + line_number).tolist())
+                values[rejected] = parsed
+                if skipped:
+                    values = np.delete(values, rejected[skipped])
+            line_number += len(accepted)
+        else:
+            lines = _lines(text)
+            parsed, skipped = _parse_each(lines, range(line_number, line_number + len(lines)))
+            values = np.delete(parsed, skipped) if skipped else parsed
+            line_number += len(lines)
+        buf.frombytes(values.view(np.uint8))
     return buf
 
 
@@ -250,16 +374,26 @@ def ingest(path: str | Path, format: str = PLAIN, column: int = 0, digest=None) 
     must be UTF-8; an undecodable line is a ParseError with its line number.
 
     The file is read in a single pass, so a pipe or FIFO works as well as a
-    regular file.  A plain file is read in chunks of about 1 MiB of lines,
-    each passed through float() into one array("d") buffer that is viewed as
-    a numpy array without a copy.  Reading in chunks keeps the peak memory
-    to the 8 bytes per value of the buffer: neither a list of the whole
-    file's lines nor a list of Python floats is ever built.  float() strips
-    the same whitespace as the line loop, so the values are bit-identical.
-    From the first line float() rejects, the rest of its chunk is parsed by
-    the line loop, which is the single source of every error and line
-    number; a clean file never enters it.  csv-column files always use the
-    line loop, fed with the same chunks of lines.
+    regular file, in chunks of about 64 KiB of whole lines.  The values of a
+    plain file go into one array("d") buffer that is viewed as a numpy array
+    without a copy, so neither a list of the file's lines nor a list of
+    Python floats is ever built.  An ASCII chunk is parsed by the decimal
+    kernel (`_parse_decimals`), which reads every line of the form
+    -?digits[.digits] with at most 19 digits in bulk, bit-identical to
+    float(): the digits form an integer M < 2**64 and the value is M / 10**f
+    divided once in the x87 extended format, whose 64-bit significand holds
+    both exactly; rounding that quotient to a double can differ from the
+    correctly rounded value only when the quotient lies exactly halfway
+    between two doubles, and such lines are rejected.  Every line the kernel
+    rejects (exponents, "+", whitespace, "_", inf and nan, comments, blank
+    lines, bad tokens, longer lines) goes through float() in file order with
+    its own line number, and a line float() rejects goes alone through the
+    line loop, which is the single source of every error and line number
+    (float() strips the same whitespace as the line loop, so their values
+    agree bit for bit).  A chunk that is not ASCII, and every chunk where
+    the long double is not the 80-bit extended format, goes through float()
+    whole.  csv-column files always use the line loop, fed with the same
+    chunks of lines.
 
     With a hashlib object `digest`, the bytes of the file are fed to it as
     they are read, so the caller gets the input's hash without opening it a
@@ -274,7 +408,7 @@ def ingest(path: str | Path, format: str = PLAIN, column: int = 0, digest=None) 
         if format == PLAIN:
             values = np.frombuffer(_read_plain(fh), dtype=float)
         else:
-            values = _parse_lines(chain.from_iterable(_chunks(fh)), format, column)
+            values = _parse_lines(chain.from_iterable(map(_lines, _texts(fh))), format, column)
     _require_two(len(values), path)
     return OrderedSample.from_data(values)
 

@@ -261,7 +261,9 @@ def sample_stable(spec: StableSpec, n: int, rng: RngStream) -> OrderedSample:
         raise DomainError("sample_stable draws from the simulation law only")
     if n < 2:
         raise DomainError("need n >= 2")
-    return OrderedSample.from_data(_cms_draws(spec.alpha, spec.skew, n, rng.generator()))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        x = _cms_draws(spec.alpha, spec.skew, n, rng.generator())
+    return _finite_draws(x, f"stable shape xi={1.0 / spec.alpha} (index alpha={spec.alpha})")
 
 
 def stable_cf(alpha: float, skew: float, t) -> np.ndarray:

@@ -1,5 +1,7 @@
 import math
 import os
+import platform
+import sys
 import threading
 
 import numpy as np
@@ -118,6 +120,11 @@ def test_ingest_csv_column_bad_row(tmp_path):
 # (_ingest_lines) is the oracle.  Values are written as bytes so that line
 # endings and whitespace reach the reader exactly as given.
 _PAST_FIRST_CHUNK = b"".join(b"%d.25\n" % i for i in range(200_000))  # ~1.3 MB
+# Lines of 5 bytes up to the chunk edge: the next line starts at or before
+# character _CHUNK_CHARS - 1, so a line of 5 or more characters there ends
+# the first chunk and the line after it starts the second (see `_texts`).
+_EDGE_LINES = (data_module._CHUNK_CHARS - 1) // 5
+_BEFORE_EDGE = b"1.25\n" * _EDGE_LINES
 INGEST_EQUIVALENCE_ROWS = {
     "crlf": b"3.5\r\n1\r\n2e1\r\n",
     "spaces-and-tabs": b"  3.5\n\t1 \n 2e1\t\t\n",
@@ -147,6 +154,27 @@ INGEST_EQUIVALENCE_ROWS = {
     "not-utf8-in-comment": b"1\n2\n# caf\xe9\n",
     "unicode-whitespace": "\u00a01.5\u2003\n2\n".encode("utf-8"),
     "old-mac-line-endings": b"1\r2\r3\r",
+    # The decimal kernel's edges.
+    "halfway-2**53+1": b"9007199254740993\n1\n",
+    # Halfway quotients that a second rounding to double would get wrong.
+    "halfway-double-rounding": b"-260.5036096512857\n40.95493709799727\n",
+    "above-2**63": b"9999999999999999999\n-9999999999999999999\n",
+    "19-character-lines": b"1234567890.12345678\n-123456789012345678\n0.12345678901234567\n",
+    "20-character-lines": b"12345678901234567890\n1.234567890123456789\n-0.12345678901234567\n-1234567890123456789\n",
+    "21-and-22-character-lines": b"-1.234567890123456789\n-12.345678901234567890\n0.0000000000000000001\n",
+    "minus-zero": b"-0\n0\n-0.0\n",
+    "bare-points-and-leading-zeros": b"1.\n.5\n-.5\n007\n",
+    "point-alone": b"1\n.\n2\n",
+    "minus-alone": b"1\n-\n2\n",
+    "plus-sign": b"+1\n2\n",
+    "exponent": b"1e5\n2\n",
+    "trailing-minus": b"1\n1-\n2\n",
+    "two-points": b"1\n1.2.3\n",
+    "rejected-lines-at-chunk-edge": _BEFORE_EDGE + b"# edge\n1e1\n2\n",
+    "nonfinite-before-chunk-edge": _BEFORE_EDGE + b"1e999\nbogus\n",
+    "bad-token-after-chunk-edge": _BEFORE_EDGE + b"# edge\nbogus\n",
+    "no-trailing-newline-rejected": b"1\n2\n3e0",
+    "no-trailing-newline-negative": b"1\n2\n-3.75",
 }
 
 
@@ -159,6 +187,17 @@ def _outcome(read, path):
 
 @pytest.mark.parametrize("name", sorted(INGEST_EQUIVALENCE_ROWS))
 def test_ingest_fast_path_matches_line_loop(tmp_path, name):
+    f = tmp_path / "a.txt"
+    f.write_bytes(INGEST_EQUIVALENCE_ROWS[name])
+    oracle = lambda p: OrderedSample.from_data(data_module._ingest_lines(p, "plain", 0))
+    assert _outcome(ingest, f) == _outcome(oracle, f)
+
+
+@pytest.mark.parametrize("name", sorted(INGEST_EQUIVALENCE_ROWS))
+def test_ingest_float_path_matches_line_loop(tmp_path, monkeypatch, name):
+    # The path of non-ASCII chunks, and of every chunk where the long double
+    # is not the x87 extended format.
+    monkeypatch.setattr(data_module, "_EXACT_KERNEL", False)
     f = tmp_path / "a.txt"
     f.write_bytes(INGEST_EQUIVALENCE_ROWS[name])
     oracle = lambda p: OrderedSample.from_data(data_module._ingest_lines(p, "plain", 0))
@@ -211,8 +250,20 @@ def test_ingest_equivalence_table_error_lines(tmp_path):
         "nan-before-comment-then-bad-token": ("NonFiniteValue", 2),
         "not-utf8": ("ParseError", 3),
         "not-utf8-in-comment": ("ParseError", 3),
+        "point-alone": ("ParseError", 2),
+        "minus-alone": ("ParseError", 2),
+        "trailing-minus": ("ParseError", 2),
+        "two-points": ("ParseError", 2),
+        "nonfinite-before-chunk-edge": ("NonFiniteValue", _EDGE_LINES + 1),
+        "bad-token-after-chunk-edge": ("ParseError", _EDGE_LINES + 2),
     }
     assert len(INGEST_EQUIVALENCE_ROWS["bad-token-past-first-chunk"]) > 1 << 20
+    for name, last_of_first in (("rejected-lines-at-chunk-edge", "# edge\n"),
+                                ("nonfinite-before-chunk-edge", "1e999\n")):
+        f = tmp_path / f"{name}.edge.txt"
+        f.write_bytes(INGEST_EQUIVALENCE_ROWS[name])
+        with data_module._open_text(f) as fh:
+            assert next(data_module._texts(fh)).endswith("1.25\n" + last_of_first), name
     for name, outcome in expected.items():
         f = tmp_path / f"{name}.txt"
         f.write_bytes(INGEST_EQUIVALENCE_ROWS[name])
@@ -245,18 +296,48 @@ def test_ingest_clean_plain_file_skips_line_loop(tmp_path, monkeypatch):
     assert s.values[0] == 199_999.25 and s.values[-1] == 0.25
 
 
-def test_ingest_line_loop_sees_only_rest_of_failing_chunk(tmp_path, monkeypatch):
-    # A header comment and a trailing blank line each cost the line loop
-    # less than one chunk, never a second pass over the file.
+def test_ingest_line_loop_sees_only_rejected_lines(tmp_path, monkeypatch):
+    # A header comment and a trailing blank line each reach the line loop
+    # alone; the decimal kernel reads every other line.
     seen = _count_line_loop_lines(monkeypatch)
     f = tmp_path / "a.txt"
     f.write_bytes(b"# header\n" + _PAST_FIRST_CHUNK + b"\n")
     s = ingest(f)
     assert s.n == 200_000
-    with f.open() as fh:
-        first_chunk = len(fh.readlines(data_module._CHUNK_CHARS))
-    assert first_chunk < 200_002
-    assert seen == [first_chunk, 1]
+    assert seen == [1, 1]
+
+
+@pytest.mark.skipif(not (sys.platform == "linux" and platform.machine() == "x86_64"),
+                    reason="the decimal kernel needs the x87 extended long double")
+def test_decimal_kernel_is_active_on_x86_64_linux(tmp_path, monkeypatch):
+    # Without the kernel every line would go through float() again, about
+    # 30% slower end to end, with the same results; only this test shows it.
+    assert data_module._EXACT_KERNEL
+    sent = []
+    real = data_module._parse_each
+
+    def counting(lines, line_numbers):
+        sent.extend(lines)
+        return real(lines, line_numbers)
+
+    monkeypatch.setattr(data_module, "_parse_each", counting)
+    f = tmp_path / "a.txt"
+    f.write_bytes(b"1e1\n" + _PAST_FIRST_CHUNK)
+    assert ingest(f).n == 200_001
+    assert sent == ["1e1"]
+
+
+@pytest.mark.skipif(not data_module._EXACT_KERNEL, reason="the decimal kernel needs the x87 extended long double")
+def test_decimal_kernel_matches_float_on_random_reprs():
+    # Shortest reprs across signs and magnitudes 1e-4 to 1e16, the form
+    # `simulate` writes; about one in 10**4 has a halfway quotient.
+    rng = np.random.default_rng(20_101)
+    x = rng.choice([-1.0, 1.0], 10**6) * 10.0 ** rng.uniform(-4, 16, 10**6)
+    lines = list(map(repr, x.tolist()))
+    values, accepted, _ = data_module._parse_decimals("\n".join(lines) + "\n")
+    expected = np.array(list(map(float, lines)))
+    assert accepted.sum() > 0.9 * len(lines)
+    assert values[accepted].tobytes() == expected[accepted].tobytes()
 
 
 def test_ingest_reads_a_fifo_in_one_pass(tmp_path):

@@ -254,6 +254,14 @@ def test_simulate_overflowing_shape_refused(tmp_path, capsys, dist, xi):
     assert not out.exists()
 
 
+def test_simulate_overflowing_stable_shape_refused(tmp_path, capsys):
+    out = tmp_path / "s.txt"
+    assert run_cli("simulate", "--dist", "stable", "--xi", "1e308", "--n", 10, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("DomainError: stable shape xi=1e+308 ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("dist", ["pareto", "gpd"])
 def test_simulate_large_finite_shape_works(tmp_path, capsys, dist):
     out = tmp_path / "s.txt"
@@ -397,6 +405,21 @@ def test_path_of_the_wrong_kind_exit_code(tmp_path, capsys, argv, error):
     assert run_cli(*argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"{error}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("svg", ["{dir}", "plot.svg"], ids=["absolute-directory", "directory-in-outdir"])
+def test_refused_svg_path_leaves_no_partial_run(tmp_path, capsys, svg):
+    f = tmp_path / "f.txt"
+    f.write_text("8\n4\n2\n1\n")
+    (tmp_path / "dir").mkdir()
+    outdir = tmp_path / "o"
+    (outdir / "plot.svg").mkdir(parents=True)
+    svg = svg.format(dir=tmp_path / "dir")
+    assert run_cli("analyze", f, "--plot", "qq", "--k", 2, "--eps", 0.01, "--band",
+                   "--outdir", outdir, "--svg", svg) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("IsADirectoryError: ") and err.count("\n") == 1
+    assert sorted(p.name for p in outdir.iterdir()) == ["plot.svg"]
 
 
 @pytest.mark.parametrize(
