@@ -1,10 +1,6 @@
 """Sample ingestion, order statistics, and the Hill tail-index estimator.
 
-`ingest` reads plain input through an exact vectorized decimal kernel: the
-lines of the form -?digits[.digits] (at most 19 digits) are parsed in bulk
-with numpy and one extended-precision division per line, bit-identical to
-float(); every other line takes the float() path and, when float() rejects
-it, the line loop that reports errors (see `ingest`).
+Plain ASCII input is read by the exact decimal kernel `_parse_decimals`.
 
 The central object is OrderedSample: the input data sorted in decreasing
 order, X_(1) >= X_(2) >= ... >= X_(n).  Everything downstream (mean-excess
@@ -304,7 +300,8 @@ def _parse_each(lines: list[str], line_numbers) -> tuple[np.ndarray, list[int]]:
     goes alone through `_parse_lines` with its own number from
     `line_numbers`, so it is skipped or raises there; a non-finite value is
     sent there too, before any later line, so the first error in the file
-    is the one raised.
+    is the one raised.  float() strips the same whitespace as the line
+    loop, so their values agree bit for bit.
     """
     out = array("d")
     skipped = []
@@ -332,21 +329,33 @@ def _parse_each(lines: list[str], line_numbers) -> tuple[np.ndarray, list[int]]:
 def _read_plain(fh) -> array:
     """Values of a plain file, read in `_texts` chunks from one pass over `fh`.
 
-    An ASCII chunk goes through the decimal kernel `_parse_decimals`; the
-    lines it does not accept (exponents, "+", whitespace, "_", inf and nan,
-    comments, blank lines, bad tokens, more than 19 digits, halfway
-    quotients) go through `_parse_each` in file order with their own line
-    numbers and take their places among the kernel's values.  A chunk that
-    is not ASCII (or every chunk, without the extended format) goes through
-    `_parse_each` whole.  The line loop `_parse_lines` stays the single
-    source of every error and line number.
+    An ASCII chunk goes through the decimal kernel `_parse_decimals` (see
+    _EXACT_KERNEL); the lines it rejects go through `_parse_each` in file
+    order with their own line numbers and take their places among its values.
+    A chunk that is not ASCII, a chunk in which the kernel rejects more
+    than a quarter of the lines, a chunk while the kernel waits (below), and
+    every chunk without the extended format go through `_parse_each` whole.
     """
     buf = array("d")
     line_number = 1  # of the chunk's first line
+    # A chunk in which the kernel rejects more than a quarter of the lines
+    # (exponent notation, long or padded lines) is read no faster than by
+    # float() alone, and the kernel has cost 40% of float()'s time for
+    # nothing.  The chunks after it go to float() for a wait that doubles
+    # with each such chunk in a row, so a file of such lines pays for the
+    # kernel on about log2(chunks) of them, and a run of good chunks is
+    # missed for at most as long as the run of bad ones before it.
+    wait = 0  # chunks still to go to float() before the kernel is tried again
+    backoff = 1  # the wait after the next mostly rejected chunk
     for text in _texts(fh):
-        if _EXACT_KERNEL and text.isascii():
+        kernel = _EXACT_KERNEL and not wait and text.isascii()
+        wait = max(wait - 1, 0)
+        if kernel:
             values, accepted, ends = _parse_decimals(text)
             rejected = np.flatnonzero(~accepted)
+            kernel = 4 * rejected.size <= accepted.size
+            wait, backoff = (0, 1) if kernel else (backoff, 2 * backoff)
+        if kernel:
             if rejected.size:
                 starts = np.concatenate(([0], ends[:-1] + 1))
                 lines = [text[a:b] for a, b in zip(starts[rejected].tolist(), ends[rejected].tolist())]
@@ -377,23 +386,10 @@ def ingest(path: str | Path, format: str = PLAIN, column: int = 0, digest=None) 
     regular file, in chunks of about 64 KiB of whole lines.  The values of a
     plain file go into one array("d") buffer that is viewed as a numpy array
     without a copy, so neither a list of the file's lines nor a list of
-    Python floats is ever built.  An ASCII chunk is parsed by the decimal
-    kernel (`_parse_decimals`), which reads every line of the form
-    -?digits[.digits] with at most 19 digits in bulk, bit-identical to
-    float(): the digits form an integer M < 2**64 and the value is M / 10**f
-    divided once in the x87 extended format, whose 64-bit significand holds
-    both exactly; rounding that quotient to a double can differ from the
-    correctly rounded value only when the quotient lies exactly halfway
-    between two doubles, and such lines are rejected.  Every line the kernel
-    rejects (exponents, "+", whitespace, "_", inf and nan, comments, blank
-    lines, bad tokens, longer lines) goes through float() in file order with
-    its own line number, and a line float() rejects goes alone through the
-    line loop, which is the single source of every error and line number
-    (float() strips the same whitespace as the line loop, so their values
-    agree bit for bit).  A chunk that is not ASCII, and every chunk where
-    the long double is not the 80-bit extended format, goes through float()
-    whole.  csv-column files always use the line loop, fed with the same
-    chunks of lines.
+    Python floats is ever built.  Plain ASCII input goes through the exact
+    decimal kernel `_parse_decimals`, and the lines it rejects through
+    float() and the line loop (see `_read_plain`).  csv-column files always
+    use the line loop, fed with the same chunks of lines.
 
     With a hashlib object `digest`, the bytes of the file are fed to it as
     they are read, so the caller gets the input's hash without opening it a

@@ -175,6 +175,8 @@ INGEST_EQUIVALENCE_ROWS = {
     "bad-token-after-chunk-edge": _BEFORE_EDGE + b"# edge\nbogus\n",
     "no-trailing-newline-rejected": b"1\n2\n3e0",
     "no-trailing-newline-negative": b"1\n2\n-3.75",
+    # Chunks of exponent lines, which the kernel hands on to float().
+    "exponent-lines-past-first-chunk": b"".join(b"%d.25e-3\n" % i for i in range(200_000)) + b"bogus\n",
 }
 
 
@@ -256,6 +258,7 @@ def test_ingest_equivalence_table_error_lines(tmp_path):
         "two-points": ("ParseError", 2),
         "nonfinite-before-chunk-edge": ("NonFiniteValue", _EDGE_LINES + 1),
         "bad-token-after-chunk-edge": ("ParseError", _EDGE_LINES + 2),
+        "exponent-lines-past-first-chunk": ("ParseError", 200_001),
     }
     assert len(INGEST_EQUIVALENCE_ROWS["bad-token-past-first-chunk"]) > 1 << 20
     for name, last_of_first in (("rejected-lines-at-chunk-edge", "# edge\n"),
@@ -325,6 +328,52 @@ def test_decimal_kernel_is_active_on_x86_64_linux(tmp_path, monkeypatch):
     f.write_bytes(b"1e1\n" + _PAST_FIRST_CHUNK)
     assert ingest(f).n == 200_001
     assert sent == ["1e1"]
+
+
+@pytest.mark.skipif(not data_module._EXACT_KERNEL, reason="the decimal kernel needs the x87 extended long double")
+@pytest.mark.parametrize("bad_line", [None, "in-first-wait", "after-kernel-resumes", "in-second-wait"])
+def test_decimal_kernel_waits_after_mostly_rejected_chunks(tmp_path, monkeypatch, bad_line):
+    # Chunks 0-3 hold exponent lines (all rejected), 4 starts with the last
+    # of them and goes on with plain lines, 5-9 are plain, 10 turns back to
+    # exponent lines and 11-15 hold only them.  The kernel reads chunk 0,
+    # waits one chunk, reads 2, waits two, reads 5 to 10, waits one, reads
+    # 12, waits two and reads 15.
+    lines = [b"1.25e+00\n"] * 30_000 + [b"2.5\n"] * 100_000 + [b"1.25e+00\n"] * 40_000
+    bad_at = {None: None, "in-first-wait": 10_000, "after-kernel-resumes": 80_000,
+              "in-second-wait": 151_000}[bad_line]
+    if bad_at is not None:
+        lines[bad_at] = b"bogus\n"
+    f = tmp_path / "a.txt"
+    f.write_bytes(b"".join(lines))
+    with data_module._open_text(f) as fh:
+        chunks = list(data_module._texts(fh))
+    mostly_exponent = [4 * c.count("e") > c.count("\n") for c in chunks]
+    assert mostly_exponent == [True] * 4 + [False] * 6 + [True] * 6
+    if bad_at is not None:
+        assert "bogus" in chunks[{"in-first-wait": 1, "after-kernel-resumes": 7, "in-second-wait": 13}[bad_line]]
+    handed_out, read = [], []
+    real_texts, real_kernel = data_module._texts, data_module._parse_decimals
+
+    def counting(fh):
+        for text in real_texts(fh):
+            handed_out.append(text)
+            yield text
+
+    def recording(text):
+        read.append(len(handed_out) - 1)
+        return real_kernel(text)
+
+    monkeypatch.setattr(data_module, "_texts", counting)
+    monkeypatch.setattr(data_module, "_parse_decimals", recording)
+    oracle = lambda p: OrderedSample.from_data(data_module._ingest_lines(p, "plain", 0))
+    outcome = _outcome(ingest, f)
+    assert outcome == _outcome(oracle, f)
+    if bad_at is None:
+        assert outcome[0] == "ok"
+        assert handed_out == chunks
+        assert read == [0, 2, 5, 6, 7, 8, 9, 10, 12, 15]
+    else:
+        assert outcome == ("ParseError", bad_at + 1)
 
 
 @pytest.mark.skipif(not data_module._EXACT_KERNEL, reason="the decimal kernel needs the x87 extended long double")
