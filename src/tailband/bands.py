@@ -89,10 +89,11 @@ class ConfidenceBand:
         if self.regime not in (REGIME_QQ, REGIME_ME_LT_HALF, REGIME_ME_GT_HALF):
             raise DomainError(f"unknown regime {self.regime!r}")
 
-    def rectangles(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Absolute (xlo, xhi, ylo, yhi) corners of each point's rectangle."""
-        x, y = self.base.x, self.base.y
-        return x + self.dx_lo, x + self.dx_hi, y + self.dy_lo, y + self.dy_hi
+    def rectangles(self, rows: slice = slice(None)) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Absolute (xlo, xhi, ylo, yhi) corners of each point's rectangle,
+        or of the points in the slice rows."""
+        x, y = self.base.x[rows], self.base.y[rows]
+        return x + self.dx_lo[rows], x + self.dx_hi[rows], y + self.dy_lo[rows], y + self.dy_hi[rows]
 
     def contains_line(self, slope: float, model_x: np.ndarray | None = None) -> bool:
         """Whether the line y = slope*x lies inside the band.

@@ -212,6 +212,8 @@ def cmd_analyze(args: argparse.Namespace, argv: list[str]) -> int:
     svg_path = None if args.svg is None else outdir / args.svg  # an absolute --svg stays as given
     if svg_path is not None and svg_path.is_dir():  # refused before anything is written
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(svg_path))
+    if args.multi_alpha and not any(abs(args.alpha - a) < 1e-12 for a in MULTI_ALPHAS):
+        raise DomainError(f"--multi-alpha needs --alpha in {', '.join(map(str, MULTI_ALPHAS))}, got {args.alpha}")
     input_sha256 = hashlib.sha256()
     sample = ingest(args.input, args.format, args.column, digest=input_sha256)
     cfg = PlotConfig(args.k, args.eps, args.alpha)
@@ -224,14 +226,8 @@ def cmd_analyze(args: argparse.Namespace, argv: list[str]) -> int:
             raise DomainError("--conservative-xi factor must be positive")
         xi_est = TailIndexEstimate(xi_est.xi * args.conservative_xi, FIXED, xi_est.k)
 
-    outdir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-
+    # everything that can be refused is built before the first file is written
     plot = qq_set(sample, cfg) if args.plot == QQ else me_set(sample, cfg)
-    plot_csv = outdir / "plot.csv"
-    write_plot_csv(plot_csv, plot)
-    written.append(plot_csv)
-
     bands = []
     meta = {
         "alpha": cfg.alpha,
@@ -250,17 +246,21 @@ def cmd_analyze(args: argparse.Namespace, argv: list[str]) -> int:
         else:
             bands = me_bands(sample, cfg, xi_est, alphas, stream, args.paths, args.grid, args.threads)
         primary = next(b for b in bands if abs((1.0 - b.level) - cfg.alpha) < 1e-12)
-        band_csv = outdir / "band.csv"
-        write_band_csv(band_csv, primary)
-        written.append(band_csv)
         meta["band_levels"] = [b.level for b in bands]
         meta["quantiles"] = {k: _quantile_payload(v) for k, v in primary.quantiles_used.items()}
         meta["regime"] = primary.regime
 
+    outdir.mkdir(parents=True, exist_ok=True)
+    plot_csv = outdir / "plot.csv"
+    write_plot_csv(plot_csv, plot)
+    written = [plot_csv]
+    if args.band:
+        band_csv = outdir / "band.csv"
+        write_band_csv(band_csv, primary)
+        written.append(band_csv)
     meta_json = outdir / "meta.json"
     write_json(meta_json, meta)
     written.append(meta_json)
-
     if svg_path is not None:
         slope = xi_est.xi if args.plot == QQ else xi_est.xi / (1.0 - xi_est.xi)
         title = f"{plot.kind} plot, k={cfg.k}, eps={cfg.eps}"

@@ -13,7 +13,7 @@ import io
 import math
 import sys
 from array import array
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from itertools import chain
 from pathlib import Path
 from typing import Iterable
@@ -39,43 +39,49 @@ FIXED = "fixed"
 class OrderedSample:
     """Validated sample in decreasing order.
 
-    values is immutable (the underlying array is marked read-only) so an
-    OrderedSample can be shared freely across threads.
+    values is immutable (the array is marked read-only) so an OrderedSample
+    can be shared freely across threads.  An array passed in is copied;
+    `from_data` and `ingest` sort an array of their own in place and keep a
+    reversed view of it, so after `ingest` the values are a read-only view
+    of the parse buffer and the sample costs no more than its values.
     """
 
     values: np.ndarray
+    copy: InitVar[bool] = True
 
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=float)
+    def __post_init__(self, copy: bool):
+        arr = np.array(self.values, dtype=float) if copy else np.asarray(self.values, dtype=float)
         if arr.ndim != 1:
             raise TooFewObservations("sample must be one-dimensional")
         if arr.size < 2:
             raise TooFewObservations(f"need at least 2 observations, got {arr.size}")
         if not np.all(np.isfinite(arr)):
             raise NonFiniteValue(int(np.flatnonzero(~np.isfinite(arr))[0]) + 1)
-        if np.any(np.diff(arr) > 0):
+        if np.any(arr[1:] > arr[:-1]):
             raise ValueError("values must be non-increasing; use OrderedSample.from_data")
-        arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 
     @classmethod
     def from_data(cls, data: Iterable[float]) -> "OrderedSample":
         """Sort raw observations into decreasing order (stable, ties kept)."""
-        arr = np.asarray(list(data) if not isinstance(data, np.ndarray) else data, dtype=float)
-        if arr.size >= 2 and np.all(np.isfinite(arr)):
-            arr = np.sort(arr, kind="stable")[::-1]
-        return cls(arr)
+        return cls._sorted(np.array(data if isinstance(data, np.ndarray) else list(data), dtype=float))
+
+    @classmethod
+    def _sorted(cls, arr: np.ndarray) -> "OrderedSample":
+        """The sample of `arr`, a float array that nothing else holds: it is
+        stable-sorted in place and kept as a reversed view, which is
+        bit-identical to np.sort(arr, kind="stable")[::-1], ties included.
+        An array that will be refused is not sorted, so a non-finite value
+        is reported at its position in the input."""
+        if arr.ndim == 1 and arr.size >= 2 and np.all(np.isfinite(arr)):
+            arr.sort(kind="stable")
+            arr = arr[::-1]
+        return cls(arr, copy=False)
 
     @property
     def n(self) -> int:
         return int(self.values.size)
-
-    def order_statistic(self, i: int) -> float:
-        """X_(i), 1-indexed from the top."""
-        if not (1 <= i <= self.n):
-            raise BadK(f"order statistic index {i} outside 1..{self.n}")
-        return float(self.values[i - 1])
 
 
 @dataclass(frozen=True)
@@ -385,11 +391,13 @@ def ingest(path: str | Path, format: str = PLAIN, column: int = 0, digest=None) 
     The file is read in a single pass, so a pipe or FIFO works as well as a
     regular file, in chunks of about 64 KiB of whole lines.  The values of a
     plain file go into one array("d") buffer that is viewed as a numpy array
-    without a copy, so neither a list of the file's lines nor a list of
-    Python floats is ever built.  Plain ASCII input goes through the exact
-    decimal kernel `_parse_decimals`, and the lines it rejects through
-    float() and the line loop (see `_read_plain`).  csv-column files always
-    use the line loop, fed with the same chunks of lines.
+    without a copy and becomes the sample's values, sorted in place, so
+    neither a list of the file's lines, nor a list of Python floats, nor a
+    second array of the values is ever built.  Plain ASCII input goes
+    through the exact decimal kernel `_parse_decimals`, and the lines it
+    rejects through float() and the line loop (see `_read_plain`).
+    csv-column files always use the line loop, fed with the same chunks of
+    lines.
 
     With a hashlib object `digest`, the bytes of the file are fed to it as
     they are read, so the caller gets the input's hash without opening it a
@@ -406,10 +414,13 @@ def ingest(path: str | Path, format: str = PLAIN, column: int = 0, digest=None) 
         else:
             values = _parse_lines(chain.from_iterable(map(_lines, _texts(fh))), format, column)
     _require_two(len(values), path)
-    return OrderedSample.from_data(values)
+    return OrderedSample._sorted(np.asarray(values, dtype=float))
 
 
-_WRITE_CHUNK = 1 << 16  # values formatted per write: about 1.2 MB of text
+# Rows formatted per write by every file writer (`write_sample_file` and the
+# CSV and SVG writers in `outputs`), so the text they hold at once does not
+# grow with the row count.
+WRITE_ROWS = 2048
 
 
 def write_sample_file(sample: OrderedSample | np.ndarray, path: str | Path) -> None:
@@ -417,13 +428,12 @@ def write_sample_file(sample: OrderedSample | np.ndarray, path: str | Path) -> N
 
     Floats are written in shortest round-trip form, so
     ingest(write(ingest(f))) is the identity on the ordered values.  They
-    are formatted a column at a time, in chunks of _WRITE_CHUNK values so
-    that the text of a large sample is never held at once.
+    are formatted a column at a time, WRITE_ROWS values per write.
     """
     values = sample.values if isinstance(sample, OrderedSample) else np.asarray(sample, dtype=float)
     with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
-        for start in range(0, len(values), _WRITE_CHUNK):
-            fh.write("\n".join(map(repr, values[start:start + _WRITE_CHUNK].tolist())) + "\n")
+        for start in range(0, len(values), WRITE_ROWS):
+            fh.write("\n".join(map(repr, values[start:start + WRITE_ROWS].tolist())) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -454,12 +464,14 @@ def me_at_order_statistics(sample: OrderedSample, k: int) -> np.ndarray:
     values = sample.values
     if not (2 <= k <= sample.n):
         raise BadK(f"k={k} outside 2..{sample.n}")
-    idx = np.arange(1, k)  # 0-based positions of X_(2)..X_(k)
-    thresholds = values[idx]
-    counts = np.searchsorted(-values, -thresholds, side="left")
+    # every count is below k: only X_(1)..X_(k) can exceed a threshold, so
+    # the search and the running sum need the top k values alone
+    top = values[:k]
+    thresholds = top[1:]  # X_(2)..X_(k)
+    counts = np.searchsorted(-top, -thresholds, side="left")
     if np.any(counts == 0):
         raise EmptyExceedanceSet("threshold ties the sample maximum")
-    csum = np.cumsum(values)
+    csum = np.cumsum(top)
     return csum[counts - 1] / counts - thresholds
 
 

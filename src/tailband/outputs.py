@@ -4,39 +4,63 @@ Float formatting rules keep every byte reproducible: CSV uses the shortest
 round-trip representation (repr), SVG uses 9 significant digits, JSON is
 emitted with sorted keys, and nothing embeds timestamps.  Numbers are
 formatted a column at a time (`tolist()` and `map`, no Python loop per
-value), and each file is written in one call.
+value).  The CSV and SVG writers stream their text to the file in blocks of
+`WRITE_ROWS` rows, so what they hold at once does not grow with the row
+count.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from . import __version__
 from .bands import ConfidenceBand
+from .data import WRITE_ROWS
 from .plotsets import PlotSet
 
 MANIFEST_NAME = "run_manifest.json"
 
 
+def _blocks(n: int) -> Iterator[slice]:
+    """The rows 0..n-1 in slices of WRITE_ROWS."""
+    return (slice(start, start + WRITE_ROWS) for start in range(0, n, WRITE_ROWS))
+
+
+def _write_text(path: str | Path, pieces: Iterable[str]) -> None:
+    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(pieces)
+
+
+def _csv_pieces(
+    header: Sequence[str], n: int, columns: Callable[[slice], Sequence[np.ndarray]]
+) -> Iterator[str]:
+    """The text of a CSV file: its header line, then the lines of each block
+    of rows.  columns(rows) returns each column's values in the slice rows;
+    columns with the same bytes in a block are formatted once."""
+    yield ",".join(header) + "\n"
+    for rows in _blocks(n):
+        texts: dict[bytes, list[str]] = {}
+        cells = []
+        for col in columns(rows):
+            key = col.tobytes()
+            if key not in texts:
+                texts[key] = list(map(repr, col.tolist()))
+            cells.append(texts[key])
+        yield "\n".join(map(",".join, zip(*cells))) + "\n"
+
+
 def write_csv(path: str | Path, header: Sequence[str], columns: Sequence) -> None:
     """Write equal-length numeric columns, each value in the shortest decimal
-    form that round-trips to the same float (repr).  Columns with the same
-    bytes are formatted once."""
-    texts: dict[bytes, list[str]] = {}
-    cells = []
-    for col in columns:
-        col = np.asarray(col, dtype=float)
-        key = col.tobytes()
-        if key not in texts:
-            texts[key] = list(map(repr, col.tolist()))
-        cells.append(texts[key])
-    lines = [",".join(header), *map(",".join, zip(*cells))]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    form that round-trips to the same float (repr)."""
+    cols = [np.asarray(col, dtype=float) for col in columns]
+    n = min(map(len, cols), default=0)
+    _write_text(path, _csv_pieces(header, n, lambda rows: [col[rows] for col in cols]))
 
 
 def json_dumps(payload) -> str:
@@ -50,7 +74,7 @@ def write_json(path: str | Path, payload) -> None:
 def file_sha256(path: str | Path) -> str:
     h = hashlib.sha256()
     with Path(path).open("rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
+        for block in iter(lambda: fh.read(1 << 16), b""):
             h.update(block)
     return h.hexdigest()
 
@@ -60,8 +84,9 @@ def write_plot_csv(path: str | Path, plot: PlotSet) -> None:
 
 
 def write_band_csv(path: str | Path, band: ConfidenceBand) -> None:
-    xlo, xhi, ylo, yhi = band.rectangles()
-    write_csv(path, ["x", "y", "xlo", "xhi", "ylo", "yhi"], [band.base.x, band.base.y, xlo, xhi, ylo, yhi])
+    x, y = band.base.x, band.base.y
+    header = ["x", "y", "xlo", "xhi", "ylo", "yhi"]
+    _write_text(path, _csv_pieces(header, len(x), lambda rows: [x[rows], y[rows], *band.rectangles(rows)]))
 
 
 @dataclass(frozen=True)
@@ -121,30 +146,27 @@ def _fmt(v: float) -> str:
 _POINT_FMT = "{:.9g},{:.9g}"  # one polygon or polyline point, in pixels
 
 
-def render_plot_svg(
+def _svg_pieces(
     plot: PlotSet,
-    bands: Sequence[ConfidenceBand] = (),
-    reference_slope: float | None = None,
-    title: str = "",
-) -> str:
-    """Deterministic SVG: shaded band(s), the plotted points, reference line.
-
-    Bands are drawn as the polygon between the per-point vertical interval
-    edges (horizontal offsets are carried in the CSV, not the shading).
-    Multiple bands should be passed widest first so narrower ones draw on top.
-    """
-    xs = [plot.x]
-    ys = [plot.y]
+    bands: Sequence[ConfidenceBand],
+    reference_slope: float | None,
+    title: str,
+) -> Iterator[str]:
+    """The text of the SVG in pieces: each element, with the points of a
+    polygon or polyline in blocks of WRITE_ROWS.  The band rectangles are
+    computed a block at a time, for the frame as well as for the polygons."""
+    x_lo, x_hi = float(plot.x.min()), float(plot.x.max())
+    y_lo, y_hi = float(plot.y.min()), float(plot.y.max())
     for band in bands:
-        xlo, xhi, ylo, yhi = band.rectangles()
-        xs.extend([xlo, xhi])
-        ys.extend([ylo, yhi])
-    all_x = np.concatenate(xs)
-    all_y = np.concatenate(ys)
+        for rows in _blocks(len(band.base)):
+            xlo, xhi, ylo, yhi = band.rectangles(rows)
+            x_lo = min(x_lo, float(xlo.min()), float(xhi.min()))
+            x_hi = max(x_hi, float(xlo.max()), float(xhi.max()))
+            y_lo = min(y_lo, float(ylo.min()), float(yhi.min()))
+            y_hi = max(y_hi, float(ylo.max()), float(yhi.max()))
     if reference_slope is not None:
-        all_y = np.concatenate([all_y, reference_slope * np.array([all_x.min(), all_x.max()])])
-    x_lo, x_hi = float(all_x.min()), float(all_x.max())
-    y_lo, y_hi = float(all_y.min()), float(all_y.max())
+        ends = reference_slope * np.array([x_lo, x_hi])
+        y_lo, y_hi = min(y_lo, float(ends.min())), max(y_hi, float(ends.max()))
     if x_hi - x_lo <= 0:
         x_hi = x_lo + 1.0
     if y_hi - y_lo <= 0:
@@ -163,56 +185,76 @@ def render_plot_svg(
     def sy(v):
         return _HEIGHT - _MARGIN_B - (v - y_lo) / (y_hi - y_lo) * inner_h
 
-    def poly_points(px: np.ndarray, py: np.ndarray) -> str:
-        return " ".join(map(_POINT_FMT.format, sx(px).tolist(), sy(py).tolist()))
+    def poly_points(pairs: Iterable[tuple[np.ndarray, np.ndarray]]) -> Iterator[str]:
+        """The points attribute of a polygon or polyline, one piece per (x, y) block."""
+        sep = ""
+        for px, py in pairs:
+            yield sep + " ".join(map(_POINT_FMT.format, sx(px).tolist(), sy(py).tolist()))
+            sep = " "
 
-    parts = [
+    yield (
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{_fmt(_WIDTH)}" height="{_fmt(_HEIGHT)}" '
-        f'viewBox="0 0 {_fmt(_WIDTH)} {_fmt(_HEIGHT)}">',
-        f'<rect width="{_fmt(_WIDTH)}" height="{_fmt(_HEIGHT)}" fill="#ffffff"/>',
-    ]
+        f'viewBox="0 0 {_fmt(_WIDTH)} {_fmt(_HEIGHT)}">\n'
+    )
+    yield f'<rect width="{_fmt(_WIDTH)}" height="{_fmt(_HEIGHT)}" fill="#ffffff"/>\n'
     for i, band in enumerate(bands):
-        _, _, ylo, yhi = band.rectangles()
-        px = np.concatenate([band.base.x, band.base.x[::-1]])
-        py = np.concatenate([yhi, ylo[::-1]])
+        blocks = list(_blocks(len(band.base)))
+        # the upper edge left to right, then the lower edge right to left
+        upper = ((band.base.x[rows], band.rectangles(rows)[3]) for rows in blocks)
+        lower = ((band.base.x[rows][::-1], band.rectangles(rows)[2][::-1]) for rows in reversed(blocks))
         fill = _BAND_FILLS[min(i, len(_BAND_FILLS) - 1)]
-        parts.append(f'<polygon points="{poly_points(px, py)}" fill="{fill}" stroke="none"/>')
+        yield '<polygon points="'
+        yield from poly_points(chain(upper, lower))
+        yield f'" fill="{fill}" stroke="none"/>\n'
     if reference_slope is not None:
         rx = np.array([max(x_lo, plot.x.min()), min(x_hi, plot.x.max())])
         ry = reference_slope * rx
-        parts.append(
+        yield (
             f'<line x1="{_fmt(sx(rx[0]))}" y1="{_fmt(sy(ry[0]))}" x2="{_fmt(sx(rx[1]))}" '
-            f'y2="{_fmt(sy(ry[1]))}" stroke="#a63603" stroke-width="1.5" stroke-dasharray="6,4"/>'
+            f'y2="{_fmt(sy(ry[1]))}" stroke="#a63603" stroke-width="1.5" stroke-dasharray="6,4"/>\n'
         )
-    parts.append(
-        f'<polyline points="{poly_points(plot.x, plot.y)}" fill="none" stroke="#000000" stroke-width="1.2"/>'
-    )
+    yield '<polyline points="'
+    yield from poly_points((plot.x[rows], plot.y[rows]) for rows in _blocks(len(plot)))
+    yield '" fill="none" stroke="#000000" stroke-width="1.2"/>\n'
     # axes
     x0, y0 = _MARGIN_L, _HEIGHT - _MARGIN_B
-    parts.append(
-        f'<line x1="{_fmt(x0)}" y1="{_fmt(y0)}" x2="{_fmt(_WIDTH - _MARGIN_R)}" y2="{_fmt(y0)}" stroke="#333333"/>'
-    )
-    parts.append(f'<line x1="{_fmt(x0)}" y1="{_fmt(y0)}" x2="{_fmt(x0)}" y2="{_fmt(_MARGIN_T)}" stroke="#333333"/>')
+    yield f'<line x1="{_fmt(x0)}" y1="{_fmt(y0)}" x2="{_fmt(_WIDTH - _MARGIN_R)}" y2="{_fmt(y0)}" stroke="#333333"/>\n'
+    yield f'<line x1="{_fmt(x0)}" y1="{_fmt(y0)}" x2="{_fmt(x0)}" y2="{_fmt(_MARGIN_T)}" stroke="#333333"/>\n'
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
         vx = x_lo + frac * (x_hi - x_lo)
         vy = y_lo + frac * (y_hi - y_lo)
-        parts.append(
+        yield (
             f'<line x1="{_fmt(sx(vx))}" y1="{_fmt(y0)}" x2="{_fmt(sx(vx))}" y2="{_fmt(y0 + 5)}" stroke="#333333"/>'
             f'<text x="{_fmt(sx(vx))}" y="{_fmt(y0 + 18)}" font-size="11" text-anchor="middle" '
-            f'font-family="monospace">{_fmt(round(vx, 6))}</text>'
+            f'font-family="monospace">{_fmt(round(vx, 6))}</text>\n'
         )
-        parts.append(
+        yield (
             f'<line x1="{_fmt(x0 - 5)}" y1="{_fmt(sy(vy))}" x2="{_fmt(x0)}" y2="{_fmt(sy(vy))}" stroke="#333333"/>'
             f'<text x="{_fmt(x0 - 8)}" y="{_fmt(sy(vy) + 4)}" font-size="11" text-anchor="end" '
-            f'font-family="monospace">{_fmt(round(vy, 6))}</text>'
+            f'font-family="monospace">{_fmt(round(vy, 6))}</text>\n'
         )
     if title:
-        parts.append(
+        yield (
             f'<text x="{_fmt(_WIDTH / 2)}" y="{_fmt(_MARGIN_T - 10)}" font-size="13" text-anchor="middle" '
-            f'font-family="monospace">{title}</text>'
+            f'font-family="monospace">{title}</text>\n'
         )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    yield "</svg>\n"
+
+
+def render_plot_svg(
+    plot: PlotSet,
+    bands: Sequence[ConfidenceBand] = (),
+    reference_slope: float | None = None,
+    title: str = "",
+) -> str:
+    """Deterministic SVG: shaded band(s), the plotted points, reference line.
+
+    Bands are drawn as the polygon between the per-point vertical interval
+    edges (horizontal offsets are carried in the CSV, not the shading).
+    Multiple bands should be passed widest first so narrower ones draw on top.
+    The text is joined from the pieces that `write_plot_svg` streams.
+    """
+    return "".join(_svg_pieces(plot, bands, reference_slope, title))
 
 
 def write_plot_svg(
@@ -222,6 +264,5 @@ def write_plot_svg(
     reference_slope: float | None = None,
     title: str = "",
 ) -> None:
-    Path(path).write_text(
-        render_plot_svg(plot, bands, reference_slope, title), encoding="utf-8", newline="\n"
-    )
+    """Write `render_plot_svg`'s text a piece at a time."""
+    _write_text(path, _svg_pieces(plot, bands, reference_slope, title))

@@ -32,17 +32,6 @@ class RngStream:
         seq = np.random.SeedSequence(entropy=int(self.seed), spawn_key=(int(self.stream_id),))
         return np.random.Generator(np.random.PCG64(seq))
 
-    def substream(self, *subkeys: int) -> np.random.Generator:
-        """Generator for a nested task, keyed by integers under this stream.
-
-        substream(i) and substream(j) are independent for i != j, and both are
-        independent of generator().
-        """
-        seq = np.random.SeedSequence(
-            entropy=int(self.seed), spawn_key=(int(self.stream_id), *[int(s) for s in subkeys])
-        )
-        return np.random.Generator(np.random.PCG64(seq))
-
     def child(self, index: int) -> "RngStream":
         """Stream for the index-th parallel worker under this stream.
 

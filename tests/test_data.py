@@ -58,6 +58,39 @@ def test_constructor_rejects_unsorted():
         OrderedSample(np.array([1.0, 2.0]))
 
 
+def test_constructor_copies_a_callers_array():
+    arr = np.array([3.0, 2.0, 1.0])
+    s = OrderedSample(arr)
+    arr[0] = 9.0
+    assert s.values.tolist() == [3.0, 2.0, 1.0]
+    assert arr.flags.writeable
+    raw = np.array([1.0, 3.0, 2.0])
+    s = OrderedSample.from_data(raw)
+    raw[1] = -5.0
+    assert s.values.tolist() == [3.0, 2.0, 1.0]
+
+
+# ties: equal values, and -0.0 and 0.0, which compare equal but differ in bits
+_TIED = [0.0, 2.5, -0.0, 1.0, 2.5, 0.0, -1.0, -0.0, 1.0, 2.5]
+
+
+def test_from_data_matches_a_stable_sort_bit_for_bit():
+    rng = np.random.default_rng(12)
+    for raw in [np.array(_TIED), np.round(rng.standard_normal(5000), 1), rng.pareto(1.0, 4096)]:
+        expected = np.sort(raw, kind="stable")[::-1]
+        assert OrderedSample.from_data(raw).values.tobytes() == expected.tobytes()
+        assert OrderedSample.from_data(raw.tolist()).values.tobytes() == expected.tobytes()
+
+
+def test_ingest_sorts_its_parse_buffer_in_place(tmp_path):
+    f = tmp_path / "a.txt"
+    f.write_text("".join(f"{v!r}\n" for v in _TIED))
+    s = ingest(f)
+    assert s.values.tobytes() == np.sort(np.array(_TIED), kind="stable")[::-1].tobytes()
+    assert not s.values.flags.writeable and not s.values.flags.owndata
+    assert s.values.strides == (-8,)  # a reversed view of the buffer, not a copy
+
+
 def test_ingest_plain(tmp_path):
     f = tmp_path / "a.txt"
     f.write_text("3\n1\n2\n")
@@ -464,6 +497,25 @@ def test_me_at_order_statistics_matches_pointwise():
     vec = me_at_order_statistics(s, k)
     for i in range(2, k + 1):
         assert vec[i - 2] == pytest.approx(empirical_me(s, s.values[i - 1]), rel=1e-13)
+
+
+def test_me_at_order_statistics_matches_whole_sample_sums():
+    # The search and the running sum over the top k values give the same
+    # bits as over the whole sample, ties included.
+    rng = np.random.default_rng(8)
+    for n in (2, 3, 50, 1000):
+        x = np.round(rng.pareto(1.5, n) + 1.0, 1)
+        s = OrderedSample.from_data(x)
+        values = s.values
+        for k in sorted({2, max(2, n // 3), n}):
+            thresholds = values[1:k]
+            counts = np.searchsorted(-values, -thresholds, side="left")
+            if np.any(counts == 0):
+                with pytest.raises(EmptyExceedanceSet):
+                    me_at_order_statistics(s, k)
+                continue
+            whole = np.cumsum(values)[counts - 1] / counts - thresholds
+            assert me_at_order_statistics(s, k).tobytes() == whole.tobytes(), (n, k)
 
 
 def test_me_at_order_statistics_tie_with_max():

@@ -422,6 +422,18 @@ def test_refused_svg_path_leaves_no_partial_run(tmp_path, capsys, svg):
     assert sorted(p.name for p in outdir.iterdir()) == ["plot.svg"]
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["--plot", "qq", "--k", 300, "--eps", 0.05, "--band", "--multi-alpha", "--alpha", 0.2], "DomainError"),
+    (["--plot", "me", "--k", 300, "--eps", 0.1, "--band", "--xi", 0.5], "RegimeBoundary"),
+], ids=["multi-alpha-without-its-alpha", "band-regime-boundary"])
+def test_refused_band_leaves_no_data_file(sample_file, tmp_path, capsys, argv, error):
+    outdir = tmp_path / "o"
+    assert run_cli("analyze", sample_file, *argv, "--svg", "plot.svg", "--outdir", outdir) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{error}: ") and err.count("\n") == 1
+    assert not outdir.exists() or not any(outdir.iterdir())
+
+
 @pytest.mark.parametrize(
     "fmt, content, line",
     [

@@ -14,6 +14,8 @@ TEST_ONLY = {
         "the QQ plot's fluctuation process, checked against its limit law in test_fluctuation_laws",
     "plotsets.me_normalized_set":
         "the ME plot's fluctuation processes, checked against their limit laws in test_fluctuation_laws",
+    "outputs.render_plot_svg":
+        "the SVG's whole text, joined from the pieces write_plot_svg streams, which the renderer tests compare",
 }
 
 
