@@ -43,6 +43,7 @@ from .limitsim import (
     batch_quantile_std_error,
     bridge_functional_samples,
     bridge_quantiles,
+    check_bridge_resolution,
     qq_sup_quantile,
 )
 from .plotsets import ME, QQ, PlotConfig, PlotSet, me_set, qq_set
@@ -148,6 +149,7 @@ def me_band(
     cfg: PlotConfig,
     xi: TailIndexEstimate,
     bridge_quantiles: tuple[QuantileEstimate, QuantileEstimate | None],
+    tilde: list[QuantileEstimate] | None = None,
 ) -> ConfidenceBand:
     """(1 - alpha) confidence band around the truncated ME plot.
 
@@ -155,7 +157,9 @@ def me_band(
     level 1 - alpha/2, as limitsim.bridge_quantiles returns it.  Regime
     selection by the supplied estimate: xi_hat < 1/2 uses symmetric c/d
     rectangles; 1/2 < xi_hat < 1 uses c for the horizontal half-width (d may
-    be None) and the skewed sum-over-max quantiles per point.
+    be None) and the skewed sum-over-max quantiles per point, at levels
+    alpha/2 and 1 - alpha/2: tilde when given (me_bands finds those of all
+    its bands in one search), else computed here.
     """
     s = xi.xi
     _refuse_me_shape(s)
@@ -182,9 +186,10 @@ def me_band(
             "confidence bands above 99% are extremely wide in the infinite-variance regime",
             stacklevel=2,
         )
-    spec = StableSpec(alpha=1.0 / s, skew=1.0, kind=SUM_OVER_MAX)
-    q_lo = limit_quantile(spec, cfg.alpha / 2.0, method="cf-inversion")
-    q_hi = limit_quantile(spec, 1.0 - cfg.alpha / 2.0, method="cf-inversion")
+    if tilde is None:
+        spec = StableSpec(alpha=1.0 / s, skew=1.0, kind=SUM_OVER_MAX)
+        tilde = limit_quantile(spec, [cfg.alpha / 2.0, 1.0 - cfg.alpha / 2.0])
+    q_lo, q_hi = tilde
     if not (q_lo.value < q_hi.value):
         raise DomainError("sum-over-max quantiles must be ordered")
     x_1 = sample.values[0]
@@ -217,7 +222,8 @@ def me_bands(
 
     The shape is checked before any simulation; then one bridge path set
     gives the quantiles at every level 1 - alpha/2, with the d-functional
-    only in the xi_hat < 1/2 regime that uses it.
+    only in the xi_hat < 1/2 regime that uses it.  In the heavy regime one
+    limit_quantile search finds the sum-over-max quantiles of every band.
     """
     _refuse_me_shape(xi.xi)
     band_cfgs = [PlotConfig(cfg.k, cfg.eps, a) for a in alphas]
@@ -225,7 +231,15 @@ def me_bands(
     quantiles = bridge_quantiles(
         xi.xi, cfg.eps, levels, n_paths, grid_m, rng, threads, integral=xi.xi < 0.5
     )
-    return [me_band(sample, band_cfg, xi, q) for band_cfg, q in zip(band_cfgs, quantiles)]
+    tildes = [None] * len(band_cfgs)
+    if xi.xi > 0.5:
+        spec = StableSpec(alpha=1.0 / xi.xi, skew=1.0, kind=SUM_OVER_MAX)
+        found = limit_quantile(spec, [p for a in alphas for p in (a / 2.0, 1.0 - a / 2.0)])
+        tildes = [found[2 * i : 2 * i + 2] for i in range(len(band_cfgs))]
+    return [
+        me_band(sample, band_cfg, xi, q, tilde)
+        for band_cfg, q, tilde in zip(band_cfgs, quantiles, tildes)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +298,7 @@ class BandQuantileTable:
         grid_m: int = DEFAULT_GRID,
         threads: int = 1,
     ) -> "BandQuantileTable":
+        check_bridge_resolution(eps, n_paths, grid_m, integral=True)
         xis = np.asarray(sorted(float(x) for x in xi_grid))
         c_samples, d_samples = bridge_functional_samples(
             xis, eps, n_paths, grid_m, rng, include_integral=True, threads=threads

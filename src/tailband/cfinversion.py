@@ -11,16 +11,30 @@ with the same 8 offsets off_k in every panel.  So e^{-ixt} factors into
 e^{-ixph} * e^{-ix off_k}, and a CDF point is evaluated in two stages
 instead of as one dense dot product over all 8P nodes:
 
-1. c_p = sum_k K[p, k] e^{-ix off_k}, one (P x 8) matvec of the kernel with
+1. c_p = sum_k K[p, k] e^{-ix off_k}, the kernel's (P x 8) panels against
    8 offset exponentials;
 2. sum_p e^{-ixph} c_p with p = a*Q + b and Q = ceil(sqrt P):
    sum_a e^{-ixaQh} sum_b e^{-ixbh} c_{aQ+b}, two short exponential vectors
-   and one (A x Q) matvec.
+   against the (A x Q) table of c.
 
 That is about 2 sqrt(P) + 8 complex exponentials per point instead of 8P;
 the sum is the same one, only its evaluation order differs (the two agree
-to ~1e-15).  Quantiles bisect the CDF, so no root finder from scipy is
-needed.
+to ~1e-15).
+
+Both stages are sums of products by `np.einsum` (optimize=False), not
+matrix products: BLAS may split and order a product's sums differently with
+the number of points, so a point's CDF took other last bits in a batch than
+alone, and its call woke an OpenBLAS worker thread that kept spinning until
+the process exited.  Here a point's CDF comes from the same operations in
+whatever batch it is in.  The price is paid on large batches: on a 2-core
+Xeon host, 1,444 points at P = 726 take about 29 ms against 18 ms through
+BLAS, one point 53 against 43 us.  The command-line paths ask for
+at most 16 points per call; only quantile_curve builds large batches.
+
+Quantiles bracket and bisect the CDF for a whole array of levels at once
+(`quantile`), so no root finder from scipy is needed: the bracket ladder
+takes one CDF call and each bisection step one more for every level still
+open.
 
 A CF that decays only like a power, phi(t) ~ C e^{it} t^{-a} (the
 sum-over-max law), may declare that leading term as a `PowerTail`.  Its
@@ -42,7 +56,17 @@ import numpy as np
 from .errors import ConvergenceFailure, DomainError
 from .limitsim import bisect
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+# The 8-point Gauss-Legendre rule on [-1, 1], bit for bit what
+# numpy.polynomial.legendre.leggauss(8) returns; as literals, importing
+# this module neither loads numpy.polynomial nor runs its eigensolver.
+GL_NODES = np.array([
+    -0.9602898564975362, -0.7966664774136267, -0.525532409916329, -0.18343464249564978,
+    0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362,
+])
+GL_WEIGHTS = np.array([
+    0.10122853629037706, 0.22238103445337443, 0.3137066458778869, 0.36268378337836166,
+    0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706,
+])
 # Complex elements of the per-chunk (points x panels) intermediate of `cdf`.
 _CHUNK_ELEMENTS = 1 << 20
 # Steps into which quantile_curve splits each grid interval holding a
@@ -110,9 +134,9 @@ def _panel_grid(t_max: float, panel_width: float) -> tuple[float, np.ndarray, np
     holding the nodes p*h + offsets with offsets = (h/2)(g_k + 1)."""
     n_panels = max(1, int(np.ceil(t_max / panel_width)))
     h = t_max / n_panels
-    offsets = (h / 2.0) * (_GL_NODES + 1.0)
+    offsets = (h / 2.0) * (GL_NODES + 1.0)
     nodes = (np.arange(n_panels)[:, None] * h + offsets[None, :]).ravel()
-    weights = np.tile((h / 2.0) * _GL_WEIGHTS, n_panels)
+    weights = np.tile((h / 2.0) * GL_WEIGHTS, n_panels)
     return h, offsets, nodes, weights
 
 
@@ -181,19 +205,20 @@ class GilPelaezInverter:
 
     def _panel_sums(self, xc: np.ndarray) -> np.ndarray:
         """sum_t e^{-ixt} kernel(t) for each x of the chunk xc, in two stages
-        (see the module docstring)."""
+        of sums of products (see the module docstring)."""
         n_panels = self.n_panels
         q = math.isqrt(n_panels - 1) + 1  # ceil(sqrt(P))
         a = -(-n_panels // q)
         # stage 1: c[x, p] = sum_k K[p, k] e^{-ix off_k}, zero-padded to A*Q panels
         c = np.zeros((xc.size, a * q), dtype=complex)
-        c[:, :n_panels] = np.exp(-1j * np.outer(xc, self.offsets)) @ self.kernel.reshape(n_panels, -1).T
+        offset_rot = np.exp(-1j * np.outer(xc, self.offsets))
+        np.einsum("xk,pk->xp", offset_rot, self.kernel.reshape(n_panels, -1), out=c[:, :n_panels])
         # stage 2: sum_a e^{-ixaQh} sum_b e^{-ixbh} c[x, aQ + b]
         h = self.panel_width
-        inner = np.exp(-1j * np.outer(xc, np.arange(q) * h))
-        outer = np.exp(-1j * np.outer(xc, np.arange(a) * (q * h)))
-        by_row = np.matmul(c.reshape(xc.size, a, q), inner[:, :, None])[:, :, 0]
-        return np.einsum("ia,ia->i", by_row, outer)
+        row_rot = np.exp(-1j * np.outer(xc, np.arange(q) * h))
+        block_rot = np.exp(-1j * np.outer(xc, np.arange(a) * (q * h)))
+        by_row = np.einsum("xab,xb->xa", c.reshape(xc.size, a, q), row_rot)
+        return np.einsum("xa,xa->x", by_row, block_rot)
 
     def cdf(self, x) -> np.ndarray | float:
         xs = np.atleast_1d(np.asarray(x, dtype=float))
@@ -206,35 +231,46 @@ class GilPelaezInverter:
             return float(out[0])
         return out
 
-    def _bracket(self, p_lo: float, p_hi: float) -> tuple[float, float]:
-        """Abscissae lo <= -1 and hi >= 1 with F(lo) <= p_lo and F(hi) >= p_hi,
-        each doubled from -1 or 1 until it holds, within [-x_max, x_max]."""
-        lo = -1.0
-        while self.cdf(lo) > p_lo:
-            lo *= 2.0
-            if lo < -self.x_max:
-                raise ConvergenceFailure(f"probability {p_lo} below resolved range (+-{self.x_max})")
-        hi = 1.0
-        while self.cdf(hi) < p_hi:
-            hi *= 2.0
-            if hi > self.x_max:
-                raise ConvergenceFailure(f"probability {p_hi} above resolved range (+-{self.x_max})")
+    def _bracket(self, p_lo: np.ndarray, p_hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per pair of probabilities, abscissae lo <= -1 and hi >= 1 with
+        F(lo) <= p_lo and F(hi) >= p_hi: the first of -1, -2, -4, ... and of
+        1, 2, 4, ... within [-x_max, x_max] where that holds, NaN where none
+        does.  The whole ladder is one CDF call."""
+        steps = [1.0]
+        while 2.0 * steps[-1] <= self.x_max:
+            steps.append(2.0 * steps[-1])
+        ladder = np.array(steps)
+        f = self.cdf(np.concatenate([-ladder, ladder]))
+        below = f[None, : ladder.size] <= p_lo[:, None]
+        above = f[None, ladder.size :] >= p_hi[:, None]
+        lo = np.where(below.any(axis=1), -ladder[below.argmax(axis=1)], np.nan)
+        hi = np.where(above.any(axis=1), ladder[above.argmax(axis=1)], np.nan)
         return lo, hi
 
-    def quantile(self, q: float, xtol: float = 1e-9) -> float:
-        """q-quantile: a bracket doubled out from [-1, 1] until it holds q,
-        then bisection of the inverted CDF until the bracket is at most xtol
-        wide; returns its midpoint."""
-        if not (0.0 < q < 1.0):
-            raise DomainError(f"quantile level {q} outside (0,1)")
-        lo, hi = self._bracket(q, q)
-        return bisect(lambda v: self.cdf(v) < q, lo, hi, xtol)
+    def quantile(self, q, xtol: float = 1e-9) -> np.ndarray | float:
+        """Quantiles at the levels q, a float or an array of them.
+
+        Each level gets its own bracket from `_bracket`, doubled out from
+        [-1, 1], and `bisect` halves it until it is at most xtol wide and
+        returns its midpoint.  The levels share every CDF call, and since a
+        point's CDF does not depend on the batch it is in, each value is
+        the one a search for its level alone returns.  A level beyond the
+        resolved range [-x_max, x_max] comes back NaN.
+        """
+        levels = np.atleast_1d(np.asarray(q, dtype=float))
+        outside = levels[~((levels > 0.0) & (levels < 1.0))]
+        if outside.size:
+            raise DomainError(f"quantile level {outside[0]} outside (0,1)")
+        lo, hi = self._bracket(levels, levels)
+        values = bisect(lambda mid, i: self.cdf(mid) < levels[i], lo, hi, xtol)
+        return float(values[0]) if np.ndim(q) == 0 else values
 
     def quantile_curve(self, probs: np.ndarray, n_grid: int = 800) -> np.ndarray:
         """Quantiles for many probabilities via a monotone CDF grid.
 
-        probs must lie within the CDF range reachable inside [-x_max, x_max].
-        The CDF is taken on n_grid points across the bracket of all probs;
+        The curve is NaN when a prob lies beyond the CDF range reachable
+        inside [-x_max, x_max].  The CDF is taken on n_grid points across
+        the bracket of all probs, found as `quantile` finds its brackets;
         each grid interval that holds a probability is then refined once
         into _REFINE_STEPS equal steps, and the quantile is linearly
         interpolated on that finer grid.  The coarse grid alone is not
@@ -245,7 +281,9 @@ class GilPelaezInverter:
         xi = 0.55 and 0.9.
         """
         probs = np.asarray(probs, dtype=float)
-        lo, hi = self._bracket(float(probs.min()), float(probs.max()))
+        [lo], [hi] = self._bracket(probs.min(keepdims=True), probs.max(keepdims=True))
+        if np.isnan(lo) or np.isnan(hi):
+            return np.full(probs.shape, np.nan)
         xs = np.linspace(lo, hi, n_grid)
         cd = np.maximum.accumulate(np.asarray(self.cdf(xs)))
         # interval j = [xs[j], xs[j+1]] with cd[j] < q <= cd[j+1]

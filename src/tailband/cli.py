@@ -212,6 +212,8 @@ def cmd_analyze(args: argparse.Namespace, argv: list[str]) -> int:
     svg_path = None if args.svg is None else outdir / args.svg  # an absolute --svg stays as given
     if svg_path is not None and svg_path.is_dir():  # refused before anything is written
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(svg_path))
+    if args.multi_alpha and not args.band:
+        raise DomainError("--multi-alpha shades band levels and needs --band")
     if args.multi_alpha and not any(abs(args.alpha - a) < 1e-12 for a in MULTI_ALPHAS):
         raise DomainError(f"--multi-alpha needs --alpha in {', '.join(map(str, MULTI_ALPHAS))}, got {args.alpha}")
     input_sha256 = hashlib.sha256()
@@ -276,14 +278,16 @@ def cmd_analyze(args: argparse.Namespace, argv: list[str]) -> int:
 
 # Numerics revision of cached quantiles.  It is part of the cache file's name,
 # so rows computed by older numerics are never read: bump it whenever the
-# numerics behind a cached value change.  Revision 3 stops the sum-over-max
+# numerics behind a cached value change.  Revision 4 sums the Gil-Pelaez CDF
+# without BLAS, which moves the last bits of stilde cf-inversion values and
+# their std_error (by about 1e-15 relative); revision 3 stops the sum-over-max
 # CF quadrature at t_max = 30 and integrates the CF's leading tail term
 # beyond it in closed form, which moves stilde cf-inversion values (by about
 # 1e-8 at xi = 0.7); revision 2 truncated that integral at a t_max of
 # hundreds to thousands, summed the Gil-Pelaez CDF in two rotor stages and
 # bisected it to 1e-9; revision 1 (the untagged quantile_cache.csv) took one
 # exponential per node and scipy's brentq.
-_CACHE_NUMERICS = 3
+_CACHE_NUMERICS = 4
 _CACHE_HEADER = "functional,xi,eps,level,paths,grid,seed,source,value,std_error,n_paths,grid_m"
 
 

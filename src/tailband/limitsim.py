@@ -221,16 +221,26 @@ def doob_band_probability(
     return min(1.0, max(0.0, 1.0 - float(np.sum(total))))
 
 
-def bisect(root_is_above, lo: float, hi: float, xtol: float) -> float:
-    """Bisection of the bracket [lo, hi]: halve it, keeping the upper half
-    where root_is_above(mid) holds and the lower half otherwise, until it is
-    at most xtol wide, and return its midpoint."""
-    while hi - lo > xtol:
-        mid = 0.5 * (lo + hi)
-        if root_is_above(mid):
-            lo = mid
-        else:
-            hi = mid
+def bisect(root_is_above, lo, hi, xtol: float):
+    """Bisection of the brackets [lo, hi], each a float or an array of them.
+
+    Halves each bracket, keeping the upper half where root_is_above holds at
+    its midpoint and the lower half otherwise, until it is at most xtol wide,
+    and returns its midpoint; a NaN bracket stays NaN.  Every step calls
+    root_is_above(mid, i) once, with the midpoints mid of the brackets still
+    wider than xtol and their indices i, so a bracket's steps are the same
+    whichever others share them.
+    """
+    lo = np.array(lo, dtype=float, ndmin=1)
+    hi = np.array(hi, dtype=float, ndmin=1)
+    while True:
+        i = np.flatnonzero(hi - lo > xtol)
+        if not i.size:
+            break
+        mid = 0.5 * (lo[i] + hi[i])
+        above = np.asarray(root_is_above(mid, i), dtype=bool)
+        lo[i[above]] = mid[above]
+        hi[i[~above]] = mid[~above]
     return 0.5 * (lo + hi)
 
 
@@ -269,7 +279,7 @@ def qq_sup_quantile(level: float, eps: float, terms: int = 15) -> QuantileEstima
     else:
         raise ConvergenceFailure("failed to bracket the quantile")
     # The exit probability falls as x grows: prob_at_x(lo) >= target > prob_at_x(hi).
-    x_star = bisect(lambda x: prob_at_x(x) >= target, x_lo, x_hi, 1e-13)
+    x_star = float(bisect(lambda mid, _: [prob_at_x(x) >= target for x in mid.tolist()], x_lo, x_hi, 1e-13)[0])
     if abs(prob_at_x(x_star) - target) > 1e-8:
         raise ConvergenceFailure("root-find did not reach probability tolerance")
     return QuantileEstimate(value=x_star / sqrt_d, level=level, source="series")
@@ -284,6 +294,35 @@ def qq_sup_quantile(level: float, eps: float, terms: int = 15) -> QuantileEstima
 _BLOCK_ROWS = 16
 
 
+def _window_start(eps: float, m: int) -> int:
+    """Index of the first grid column t_j = (j + 1)/m with t_j >= eps: the
+    window t >= eps is the suffix of columns from there on."""
+    return int(np.searchsorted(np.arange(1, m + 1) / m, eps - 1e-12))
+
+
+def check_bridge_resolution(eps: float, n_paths: int, m: int, integral: bool) -> None:
+    """Refuse a bridge path set too coarse for its quantiles to mean anything.
+
+    eps must lie in (0, 1), its window [eps, 1] must hold at least two of
+    the m grid columns, and the d-functional (integral=True) needs at least
+    1000 paths and grid points.  Every caller that reads quantiles off bridge paths checks this
+    first; bridge_functional_samples itself does not, so that tests may
+    draw small path sets.
+    """
+    if not (0.0 < eps < 1.0):
+        raise DomainError(f"eps must lie in (0,1), got {eps}")
+    if integral and n_paths < 1000:
+        raise DomainError(f"the d-functional needs at least 1000 paths, got {n_paths}")
+    if integral and m < 1000:
+        raise DomainError(f"the d-functional needs grid size m >= 1000, got {m}")
+    columns = max(0, m - _window_start(eps, m))
+    if columns < 2:
+        raise DomainError(
+            f"the window [eps, 1] with eps={eps} holds {columns} of the grid={m} columns; "
+            "need at least 2: lower eps or raise grid"
+        )
+
+
 def _bridge_functional_worker(args) -> tuple[np.ndarray, np.ndarray | None]:
     """c (and d) samples of one batch, in row blocks of _BLOCK_ROWS paths.
 
@@ -295,14 +334,15 @@ def _bridge_functional_worker(args) -> tuple[np.ndarray, np.ndarray | None]:
     seed, stream_id, batch_index, size, xi_values, eps, m, include_integral = args
     g = RngStream(seed, stream_id).child(batch_index).generator()
     t = np.arange(1, m + 1) / m
-    j0 = int(np.searchsorted(t, eps - 1e-12))
+    j0 = _window_start(eps, m)
     weights = [t ** (-(1.0 + xi)) for xi in xi_values]
     scale = math.sqrt(1.0 / m)
     rows = min(_BLOCK_ROWS, size)
     z_buf = np.empty((rows, m))
     f_buf = np.empty((rows, m))
     cs_buf = np.empty((rows, m)) if include_integral else None
-    # f is formed from column 0 on only where the running integral needs it
+    # the bridge and f are formed from column 0 on only where the running
+    # integral needs them; the c-functional reads the window alone
     first = 0 if include_integral else j0
     c_part = np.empty((len(xi_values), size))
     d_part = np.empty((len(xi_values), size)) if include_integral else None
@@ -312,11 +352,12 @@ def _bridge_functional_worker(args) -> tuple[np.ndarray, np.ndarray | None]:
         g.standard_normal(out=z)
         z *= scale
         np.cumsum(z, axis=1, out=z)
-        np.multiply(t, z[:, -1:], out=f)
-        np.subtract(z, f, out=z)  # bridge b = W - t W(1)
+        b_cols, f_cols = z[:, first:], f[:, first:]
+        np.multiply(t[first:], z[:, -1:], out=f_cols)
+        np.subtract(b_cols, f_cols, out=b_cols)  # bridge b = W - t W(1)
         z[:, -1] = 0.0
         for row, (xi, w) in enumerate(zip(xi_values, weights)):
-            np.multiply(z[:, first:], w[first:], out=f[:, first:])
+            np.multiply(b_cols, w[first:], out=f_cols)
             np.max(f[:, j0:], axis=1, out=c_part[row, lo:hi])
             c_part[row, lo:hi] *= xi
             if include_integral:
@@ -390,17 +431,14 @@ def bridge_quantiles(
     quantile probability itself (a band at confidence 1 - a uses
     level = 1 - a/2 for each functional).  The c-functional is valid for any
     0 < xi < 1.  With integral=True the d-functional is estimated as well,
-    which needs xi < 1/2 and at least 1000 paths and grid points; with
-    integral=False d is None.  Standard errors come from 10 path batches.
+    which needs xi < 1/2; with integral=False d is None.  The path set must
+    pass check_bridge_resolution.  Standard errors come from 10 path batches.
     """
     if integral and not (0.0 < xi < 0.5):
         raise RegimeMismatch(f"the d-functional needs 0 < xi < 1/2, got {xi}")
     if not (0.0 < xi < 1.0):
         raise RegimeMismatch(f"the c-functional needs 0 < xi < 1, got {xi}")
-    if integral and n_paths < 1000:
-        raise DomainError("need at least 1000 paths")
-    if integral and m < 1000:
-        raise DomainError("need grid size m >= 1000")
+    check_bridge_resolution(eps, n_paths, m, integral)
     if rng is None:
         raise DomainError("bridge_quantiles needs an RngStream")
     for level in levels:

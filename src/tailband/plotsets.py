@@ -75,6 +75,8 @@ class PlotConfig:
         # empty; eps*k < 1 simply means no point is dropped
         if not (0.0 < self.alpha < 1.0):
             raise DomainError(f"alpha must lie in (0,1), got {self.alpha}")
+        if 1.0 - self.alpha / 2.0 == 1.0:
+            raise DomainError(f"alpha={self.alpha} is too small: the band level 1 - alpha/2 rounds to 1")
 
     @property
     def delta(self) -> float:

@@ -1,8 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from tailband import bands as bands_module
 from tailband.bands import (
     BandQuantileTable,
     ConfidenceBand,
@@ -15,7 +17,7 @@ from tailband.bands import (
 from tailband.data import OrderedSample, fixed_xi, hill_estimate
 from tailband.distributions import sample_pareto
 from tailband.errors import DomainError, MeanDoesNotExist, RegimeBoundary
-from tailband.limitsim import QuantileEstimate, bridge_functional_samples, qq_sup_quantile
+from tailband.limitsim import QuantileEstimate, bridge_functional_samples, bridge_quantiles, qq_sup_quantile
 from tailband.plotsets import PlotConfig, qq_set
 from tailband.rng import RngStream
 
@@ -118,6 +120,29 @@ def test_me_band_heavy_regime():
     assert not np.allclose(-band.dy_lo, band.dy_hi)
 
 
+def test_me_bands_heavy_regime_runs_one_quantile_search(monkeypatch):
+    searches = []
+    search = bands_module.limit_quantile
+    monkeypatch.setattr(
+        bands_module, "limit_quantile", lambda spec, q, *a, **k: searches.append(list(q)) or search(spec, q, *a, **k)
+    )
+    s = sample_pareto(0.7, 20_000, RngStream(7))
+    cfg = PlotConfig(1000, 0.1, 0.05)
+    alphas = [0.01, 0.05, 0.10]
+    with pytest.warns(UserWarning):  # the 99% band
+        found = me_bands(s, cfg, fixed_xi(0.7), alphas, RngStream(8), n_paths=1000, grid_m=1024)
+    assert searches == [[0.005, 0.995, 0.025, 0.975, 0.05, 0.95]]
+    # each band as me_band builds it with a search of its own
+    for band, alpha in zip(found, alphas):
+        c = band.quantiles_used["c"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            alone = me_band(s, PlotConfig(1000, 0.1, alpha), fixed_xi(0.7), (c, None))
+        assert alone.quantiles_used == band.quantiles_used
+        assert alone.dy_lo.tolist() == band.dy_lo.tolist() and alone.dy_hi.tolist() == band.dy_hi.tolist()
+    assert searches[1:] == [[0.005, 0.995], [0.025, 0.975], [0.05, 0.95]]
+
+
 def test_me_band_heavy_regime_99_warns():
     s = sample_pareto(0.7, 5000, RngStream(9))
     cfg = PlotConfig(500, 0.1, 0.01)
@@ -201,6 +226,30 @@ def test_band_quantile_table_interpolates():
     assert c_mid.value == pytest.approx(c_exact.value, rel=0.02)
     with pytest.raises(DomainError):
         table.lookup(0.5)
+
+
+@pytest.mark.parametrize(
+    "n_paths, grid_m, eps, message",
+    [
+        (999, 1024, 0.1, "the d-functional needs at least 1000 paths, got 999"),
+        (1000, 999, 0.1, "the d-functional needs grid size m >= 1000, got 999"),
+        (1000, 1000, 0.9999, "the window [eps, 1] with eps=0.9999 holds 1 of the grid=1000 columns"),
+    ],
+    ids=["paths", "grid", "window"],
+)
+def test_every_bridge_quantile_caller_checks_resolution(n_paths, grid_m, eps, message):
+    with pytest.raises(DomainError) as direct:
+        bridge_quantiles(0.25, eps, [0.975], n_paths, grid_m, RngStream(0))
+    with pytest.raises(DomainError) as table:
+        BandQuantileTable.build([0.2, 0.3], eps, 0.975, RngStream(0), n_paths=n_paths, grid_m=grid_m)
+    assert str(direct.value).startswith(message) and str(table.value) == str(direct.value)
+
+
+def test_c_functional_window_needs_two_grid_columns():
+    with pytest.raises(DomainError, match="holds 1 of the grid=1000 columns"):
+        bridge_quantiles(0.7, 0.9999, [0.975], 100, 1000, RngStream(0), integral=False)
+    [(c, d)] = bridge_quantiles(0.7, 0.999, [0.975], 100, 1000, RngStream(0), integral=False)  # two columns
+    assert c.value > 0 and d is None
 
 
 @pytest.mark.slow

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from tailband import cfinversion
 from tailband.cfinversion import GilPelaezInverter
 from tailband.distributions import (
     SIMULATION,
@@ -386,6 +387,86 @@ def test_inverter_nodes_factor_into_panels():
     p = np.arange(inv.n_panels)
     assert np.array_equal(inv.nodes, (p[:, None] * inv.panel_width + inv.offsets[None, :]).ravel())
     assert np.all(np.diff(inv.nodes) > 0)
+
+
+def test_gauss_legendre_literals_match_leggauss():
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    assert cfinversion.GL_NODES.tobytes() == nodes.tobytes()
+    assert cfinversion.GL_WEIGHTS.tobytes() == weights.tobytes()
+
+
+@pytest.mark.parametrize("xi", [0.55, 0.7, 0.9])
+def test_inverter_cdf_of_a_point_does_not_depend_on_its_batch(xi):
+    # 1,501 points span two CDF chunks (1,444 points each at 726 panels)
+    inv = _build_inverter(_InverterKey.of(StableSpec(alpha=1.0 / xi, skew=1.0, kind=SUM_OVER_MAX), 32.0))
+    xs = np.append(np.linspace(-inv.x_max, inv.x_max, 1500), 1.0)
+    batch = inv.cdf(xs)
+    assert batch.tobytes() == np.array([inv.cdf(float(x)) for x in xs]).tobytes()
+    assert inv.cdf(xs[740:752]).tobytes() == batch[740:752].tobytes()
+
+
+def _search_one_level(inv, q, xtol=1e-9):
+    """The quantile search for one level as a scalar loop, the reference for
+    GilPelaezInverter.quantile: the bracket doubled out from [-1, 1] within
+    [-x_max, x_max], then bisection to xtol; None beyond the range."""
+    lo = -1.0
+    while inv.cdf(lo) > q:
+        lo *= 2.0
+        if lo < -inv.x_max:
+            return None
+    hi = 1.0
+    while inv.cdf(hi) < q:
+        hi *= 2.0
+        if hi > inv.x_max:
+            return None
+    while hi - lo > xtol:
+        mid = 0.5 * (lo + hi)
+        if inv.cdf(mid) < q:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _limit_quantile_one_level(spec, q):
+    """(value, std_error, x_max) of one level from the first inverter of the
+    ladder 32, 128, ... whose range holds it, one CDF point at a time."""
+    x_max = 32.0
+    while True:
+        inv = _build_inverter(_InverterKey.of(spec, x_max))
+        value = _search_one_level(inv, q)
+        if value is not None:
+            h = 1e-3 * max(1.0, abs(value))
+            density = max((inv.cdf(value + h) - inv.cdf(value - h)) / (2 * h), 1e-12)
+            return value, inv.cdf_abs_err / density + 1e-6, x_max
+        x_max *= 4.0
+
+
+@pytest.mark.parametrize(
+    "levels, x_maxes",
+    [
+        ([0.005, 0.995, 0.025, 0.975, 0.05, 0.95], [32.0] * 6),  # the three bands of --multi-alpha
+        ([1e-4, 1e-3], [128.0, 32.0]),
+    ],
+    ids=["multi-alpha", "two-inverters"],
+)
+def test_batched_limit_quantiles_equal_the_search_for_each_level(levels, x_maxes):
+    spec = StableSpec(alpha=1.0 / 0.7, skew=1.0, kind=SUM_OVER_MAX)
+    alone = [_limit_quantile_one_level(spec, q) for q in levels]
+    assert [x_max for _, _, x_max in alone] == x_maxes
+    batched = limit_quantile(spec, levels)
+    assert [(e.value, e.std_error) for e in batched] == [(v, err) for v, err, _ in alone]
+    assert [e.level for e in batched] == levels
+    assert limit_quantile(spec, levels[-1]) == batched[-1]
+
+
+def test_inverter_quantile_beyond_the_range_is_nan():
+    inv = _build_inverter(_InverterKey.of(StableSpec(alpha=1.0 / 0.7, skew=1.0, kind=SUM_OVER_MAX), 32.0))
+    values = inv.quantile(np.array([1e-4, 0.5]))
+    assert np.isnan(values[0]) and values[1] == inv.quantile(0.5)
+    assert np.isnan(inv.quantile_curve(np.array([1e-4, 0.5]))).all()
+    with pytest.raises(DomainError):
+        inv.quantile(np.array([0.5, 1.0]))
 
 
 @pytest.mark.parametrize("q", [0.005, 0.05, 0.3, 0.5, 0.9, 0.975, 0.995])

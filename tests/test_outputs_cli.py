@@ -422,15 +422,26 @@ def test_refused_svg_path_leaves_no_partial_run(tmp_path, capsys, svg):
     assert sorted(p.name for p in outdir.iterdir()) == ["plot.svg"]
 
 
-@pytest.mark.parametrize("argv, error", [
-    (["--plot", "qq", "--k", 300, "--eps", 0.05, "--band", "--multi-alpha", "--alpha", 0.2], "DomainError"),
-    (["--plot", "me", "--k", 300, "--eps", 0.1, "--band", "--xi", 0.5], "RegimeBoundary"),
-], ids=["multi-alpha-without-its-alpha", "band-regime-boundary"])
-def test_refused_band_leaves_no_data_file(sample_file, tmp_path, capsys, argv, error):
+@pytest.mark.parametrize("argv, error, names", [
+    (["--plot", "qq", "--k", 300, "--eps", 0.05, "--band", "--multi-alpha", "--alpha", 0.2], "DomainError", "--alpha"),
+    (["--plot", "me", "--k", 300, "--eps", 0.1, "--band", "--xi", 0.5], "RegimeBoundary", "xi_hat"),
+    (["--plot", "qq", "--k", 300, "--eps", 0.05, "--multi-alpha"], "DomainError", "--band"),
+    (["--plot", "qq", "--k", 300, "--eps", 0.05, "--band", "--alpha", 1e-300], "DomainError", "alpha=1e-300"),
+    (["--plot", "me", "--k", 300, "--eps", 0.1, "--band", "--xi", 0.7, "--alpha", 1e-300], "DomainError",
+     "alpha=1e-300"),
+    (["--plot", "me", "--k", 300, "--eps", 0.9999, "--band", "--xi", 0.25, "--grid", 1000], "DomainError",
+     "eps=0.9999 holds 1 of the grid=1000"),
+    (["--plot", "me", "--k", 300, "--eps", 0.1, "--band", "--xi", 0.25, "--paths", 100], "DomainError",
+     "1000 paths, got 100"),
+], ids=["multi-alpha-without-its-alpha", "band-regime-boundary", "multi-alpha-without-band",
+        "qq-alpha-level-rounds-to-one", "me-alpha-level-rounds-to-one", "window-of-one-grid-column",
+        "too-few-paths-for-d"])
+def test_refused_band_leaves_no_data_file(sample_file, tmp_path, capsys, argv, error, names):
     outdir = tmp_path / "o"
     assert run_cli("analyze", sample_file, *argv, "--svg", "plot.svg", "--outdir", outdir) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"{error}: ") and err.count("\n") == 1
+    assert names in err
     assert not outdir.exists() or not any(outdir.iterdir())
 
 
@@ -908,6 +919,16 @@ def test_coverage_me_plot_and_single_replication(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert len(report["per_replication"]) == 1
     assert report["coverage"] in (0.0, 1.0)
+
+
+def test_coverage_me_refuses_a_coarse_path_set(tmp_path, capsys):
+    # the shape-grid table checks the path set as bridge_quantiles does
+    out = tmp_path / "o"
+    code = run_cli("coverage", "--plot", "me", "--xi", 0.25, "--n", 2000, "--k", 200, "--eps", 0.1,
+                   "--replications", 3, "--grid", 10, "--paths", 100, "--outdir", out)
+    assert code == 2
+    assert capsys.readouterr().err == "DomainError: the d-functional needs at least 1000 paths, got 100\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("replications", ["0", "-2"])
