@@ -110,15 +110,15 @@ class ConfidenceBand:
         return bool(np.all((xlo <= mx) & (mx <= xhi) & (ylo <= my) & (my <= yhi)))
 
 
-def qq_band(
-    sample: OrderedSample, cfg: PlotConfig, xi: TailIndexEstimate, terms: int = 15
-) -> ConfidenceBand:
+def qq_band(sample: OrderedSample, cfg: PlotConfig, xi: TailIndexEstimate) -> ConfidenceBand:
     """(1 - alpha) confidence band around the truncated QQ plot."""
     if not (xi.xi > 0):
         raise DomainError(f"QQ band needs xi > 0, got {xi.xi}")
-    base = qq_set(sample, cfg, truncated=True)
-    c = qq_sup_quantile(1.0 - cfg.alpha / 2.0, cfg.eps, terms)
+    base = qq_set(sample, cfg)
+    c = qq_sup_quantile(1.0 - cfg.alpha / 2.0, cfg.eps)
     half = xi.xi * c.value / math.sqrt(cfg.k)
+    if not math.isfinite(half):
+        raise DomainError(f"xi={xi.xi:g} is too large: the band half-width xi * c / sqrt(k) overflows")
     zeros = np.zeros(len(base))
     return ConfidenceBand(
         base=base,
@@ -157,13 +157,13 @@ def me_band(
     level 1 - alpha/2, as limitsim.bridge_quantiles returns it.  Regime
     selection by the supplied estimate: xi_hat < 1/2 uses symmetric c/d
     rectangles; 1/2 < xi_hat < 1 uses c for the horizontal half-width (d may
-    be None) and the skewed sum-over-max quantiles per point, at levels
-    alpha/2 and 1 - alpha/2: tilde when given (me_bands finds those of all
-    its bands in one search), else computed here.
+    be None) and the skewed sum-over-max quantiles tilde, at levels
+    alpha/2 and 1 - alpha/2, scaled per point (me_bands finds those of all
+    its bands in one search).
     """
     s = xi.xi
     _refuse_me_shape(s)
-    base = me_set(sample, cfg, truncated=True)
+    base = me_set(sample, cfg)
     sqrt_k = math.sqrt(cfg.k)
     level = 1.0 - cfg.alpha
     c, d = bridge_quantiles
@@ -186,9 +186,6 @@ def me_band(
             "confidence bands above 99% are extremely wide in the infinite-variance regime",
             stacklevel=2,
         )
-    if tilde is None:
-        spec = StableSpec(alpha=1.0 / s, skew=1.0, kind=SUM_OVER_MAX)
-        tilde = limit_quantile(spec, [cfg.alpha / 2.0, 1.0 - cfg.alpha / 2.0])
     q_lo, q_hi = tilde
     if not (q_lo.value < q_hi.value):
         raise DomainError("sum-over-max quantiles must be ordered")
@@ -220,22 +217,23 @@ def me_bands(
 ) -> list[ConfidenceBand]:
     """One ME band per miss probability in alphas (cfg.alpha is not used).
 
-    The shape is checked before any simulation; then one bridge path set
-    gives the quantiles at every level 1 - alpha/2, with the d-functional
-    only in the xi_hat < 1/2 regime that uses it.  In the heavy regime one
-    limit_quantile search finds the sum-over-max quantiles of every band.
+    The shape is checked first.  In the heavy regime one limit_quantile
+    search then finds the sum-over-max quantiles of every band, so a level
+    it cannot resolve is refused before any path is drawn.  Then one bridge
+    path set gives the quantiles at every level 1 - alpha/2, with the
+    d-functional only in the xi_hat < 1/2 regime that uses it.
     """
     _refuse_me_shape(xi.xi)
     band_cfgs = [PlotConfig(cfg.k, cfg.eps, a) for a in alphas]
-    levels = [1.0 - band_cfg.alpha / 2.0 for band_cfg in band_cfgs]
-    quantiles = bridge_quantiles(
-        xi.xi, cfg.eps, levels, n_paths, grid_m, rng, threads, integral=xi.xi < 0.5
-    )
     tildes = [None] * len(band_cfgs)
     if xi.xi > 0.5:
         spec = StableSpec(alpha=1.0 / xi.xi, skew=1.0, kind=SUM_OVER_MAX)
         found = limit_quantile(spec, [p for a in alphas for p in (a / 2.0, 1.0 - a / 2.0)])
         tildes = [found[2 * i : 2 * i + 2] for i in range(len(band_cfgs))]
+    levels = [1.0 - band_cfg.alpha / 2.0 for band_cfg in band_cfgs]
+    quantiles = bridge_quantiles(
+        xi.xi, cfg.eps, levels, n_paths, grid_m, rng, threads, integral=xi.xi < 0.5
+    )
     return [
         me_band(sample, band_cfg, xi, q, tilde)
         for band_cfg, q, tilde in zip(band_cfgs, quantiles, tildes)
@@ -369,6 +367,8 @@ def coverage_experiment(
         raise DomainError(f"coverage plot must be 'qq' or 'me', got {plot!r}")
     if replications < 1:
         raise DomainError(f"need at least 1 replication, got {replications}")
+    # allocated first, so that a count too large for memory fails before any work
+    hits = np.empty(replications, dtype=bool)
     table = None
     if plot == ME:
         if not (0 < dist.xi < 0.5):
@@ -386,17 +386,16 @@ def coverage_experiment(
             grid_m=grid_m,
             threads=threads,
         )
-    hits: list[bool] = []
     for rep in range(replications):
         rep_rng = rng.child(rep)
         sample = dist.sample(n, rep_rng)
         xi_hat = hill_estimate(sample, cfg.k)
         if plot == QQ:
             band = qq_band(sample, cfg, xi_hat)
-            hits.append(band.contains_line(dist.xi))
+            hits[rep] = band.contains_line(dist.xi)
         else:
             band = me_band(sample, cfg, xi_hat, bridge_quantiles=table.lookup(xi_hat.xi))
             model_x = (band.base.indices / cfg.k) ** (-dist.xi)
             slope = dist.xi / (1.0 - dist.xi)
-            hits.append(band.contains_line(slope, model_x=model_x))
-    return CoverageResult(hits=tuple(hits), replications=replications)
+            hits[rep] = band.contains_line(slope, model_x=model_x)
+    return CoverageResult(hits=tuple(hits.tolist()), replications=replications)

@@ -69,6 +69,8 @@ GL_WEIGHTS = np.array([
 ])
 # Complex elements of the per-chunk (points x panels) intermediate of `cdf`.
 _CHUNK_ELEMENTS = 1 << 20
+# Phase speed budgeted for the CF itself on top of the e^{-itx} rotation.
+_PHASE_SLACK = 6.0
 # Steps into which quantile_curve splits each grid interval holding a
 # probability.  Near x = 1, where the sum-over-max law's density is not
 # smooth, the interpolation error falls only about like steps^(-1/xi),
@@ -159,18 +161,17 @@ class GilPelaezInverter:
         t_max: float,
         x_max: float,
         tail_err: float,
-        phase_slack: float = 4.0,
         tail: PowerTail | None = None,
     ) -> "GilPelaezInverter":
         """Build the fixed quadrature for `cf` on (0, t_max].
 
-        `phase_slack` budgets the phase speed of cf itself on top of the
+        _PHASE_SLACK budgets the phase speed of cf itself on top of the
         e^{-itx} rotation; the panel width keeps at least ~32 quadrature
         points per full oscillation at |x| = x_max.  `tail_err` bounds the
         CDF error of what the quadrature leaves out beyond t_max: all of cf,
         or only cf minus `tail` when a tail is given.
         """
-        width = min(0.5, np.pi / (2.0 * (x_max + phase_slack)))
+        width = min(0.5, np.pi / (2.0 * (x_max + _PHASE_SLACK)))
         h, offsets, nodes, weights = _panel_grid(t_max, width)
         phi = np.asarray(cf(nodes), dtype=complex)
         if phi.shape != nodes.shape:

@@ -9,7 +9,8 @@ Subcommands:
 Every file-producing run also writes a manifest recording the command line,
 seed, and content hashes of inputs and outputs; re-running the recorded
 command reproduces the outputs byte for byte.  Exit codes: 0 success,
-2 usage/domain error (one-line diagnostic on stderr), 1 internal error.
+2 usage/domain error or a size too large for memory (one-line diagnostic
+on stderr), 1 internal error.
 """
 from __future__ import annotations
 
@@ -37,7 +38,7 @@ from .distributions import (
     sample_pareto,
     sample_stable,
 )
-from .errors import DomainError, TailbandError
+from .errors import DomainError, RegimeMismatch, TailbandError
 from .limitsim import QuantileEstimate, bridge_quantiles, qq_sup_quantile
 from .outputs import (
     MANIFEST_NAME,
@@ -96,8 +97,16 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are one stderr line, like every
+    other refusal; its subcommand parsers are of this class too."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="tailband", description=__doc__.split("\n")[0])
+    parser = _Parser(prog="tailband", description=__doc__.split("\n")[0])
     parser.add_argument("--version", action="version", version=f"tailband {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -346,6 +355,8 @@ def cmd_quantiles(args: argparse.Namespace, argv: list[str]) -> int:
         raise DomainError(f"{functional} needs --eps")
     if functional in ("me-c", "me-d", "stilde") and args.xi is None:
         raise DomainError(f"{functional} needs --xi")
+    if functional == "stilde" and not (0.5 < args.xi < 1.0):
+        raise RegimeMismatch(f"the sum-over-max law needs --xi in (1/2, 1), got {args.xi}")
     paths = args.paths
     if paths is None:
         paths = 100_000 if functional == "stilde" else 10_000
@@ -481,6 +492,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except TailbandError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # a --n, --grid or --paths whose arrays cannot be allocated
+        print(f"MemoryError: {exc}", file=sys.stderr)
         return 2
     except Exception:  # pragma: no cover - internal errors
         traceback.print_exc()

@@ -9,14 +9,13 @@ heavy-regime mean-excess bands:
   normalized by data-driven constants (top order statistic in place of b(n));
   its characteristic function has a reciprocal form and is not stable itself.
 
-The sum-over-max law and the alpha-stable simulation law are both inverted
-through their characteristic functions (cfinversion); the Gaussian anchor
-tests check the inverter on the latter.
+The sum-over-max law is the one law inverted through its characteristic
+function (cfinversion); the alpha-stable law is only sampled.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -28,13 +27,6 @@ from .limitsim import QuantileEstimate
 from .rng import RngStream
 
 XI_ZERO_TOL = 1e-12
-
-
-def _gamma_fn(x: float) -> float:
-    """Gamma function, math.gamma from the standard library, so that no
-    path loads scipy for it.  On (0, 1), where the sum-over-max inverter
-    evaluates it, it agrees with scipy.special.gamma to about 1 ulp."""
-    return math.gamma(x)
 
 
 # ---------------------------------------------------------------------------
@@ -353,14 +345,6 @@ def sum_over_max_cf(xi: float, t) -> np.ndarray:
     return out if ts.ndim else complex(out[0])
 
 
-def limit_cf(spec: StableSpec, t) -> np.ndarray | complex:
-    """Characteristic function of the law of spec at t (vectorized)."""
-    if spec.kind == SUM_OVER_MAX:
-        return sum_over_max_cf(spec.xi, t)
-    out = stable_cf(spec.alpha, spec.skew, t)
-    return out if np.asarray(t).ndim else complex(np.atleast_1d(out)[0])
-
-
 # ---------------------------------------------------------------------------
 # Monte Carlo draws
 # ---------------------------------------------------------------------------
@@ -401,12 +385,6 @@ def sample_sum_over_max_statistic(
     return out
 
 
-def _limit_law_draws(spec: StableSpec, size: int, rng: RngStream, mc_k: int, mc_n: int) -> np.ndarray:
-    if spec.kind == SIMULATION:
-        return _cms_draws(spec.alpha, spec.skew, size, rng.generator())
-    return sample_sum_over_max_statistic(spec.xi, size, rng, k=mc_k, n=mc_n)
-
-
 # ---------------------------------------------------------------------------
 # quantiles by CF inversion or Monte Carlo
 # ---------------------------------------------------------------------------
@@ -414,50 +392,27 @@ def _limit_law_draws(spec: StableSpec, size: int, rng: RngStream, mc_k: int, mc_
 _INVERTER_TOL = 3e-6  # a-priori CDF error bound of every limit-law inverter
 
 
-@dataclass(frozen=True)
-class _InverterKey:
-    """Cache key of `_build_inverter`: laws whose alpha and skew agree to 12
-    decimals share one inverter, built from the spec that came first."""
-
-    kind: str
-    alpha: float
-    skew: float
-    x_max: float
-    spec: StableSpec = field(compare=False)
-
-    @classmethod
-    def of(cls, spec: StableSpec, x_max: float) -> "_InverterKey":
-        return cls(spec.kind, round(spec.alpha, 12), round(spec.skew, 12), float(x_max), spec)
-
-
 @lru_cache(maxsize=8)
-def _build_inverter(key: _InverterKey) -> cfinversion.GilPelaezInverter:
-    """The CF inverter of key.spec resolving |x| <= key.x_max; the last few
-    are kept, since each law is inverted at several levels."""
-    spec, x_max, tol = key.spec, key.x_max, _INVERTER_TOL
-    tail = None
-    if spec.kind == SUM_OVER_MAX:
-        a, xi = spec.alpha, spec.xi
-        gamma_neg_a = _gamma_fn(2.0 - a) / (a * (a - 1.0))  # Gamma(-a) > 0 on (1, 2)
-        # phi(t) = C0 e^{it} t^-a / (1 - rho(t)) with |rho(t)| <= r(t) =
-        # 2 t^(-1-a) / Gamma(-a) (see sum_over_max_cf).  Beyond T the CF minus
-        # its leading term is at most |C0| t^-a r(t) / (1 - r(T)), and r(T) < 1e-3
-        # for T >= 30, so its CDF contribution is at most
-        # 2 k_rest T^(-1-2a) with k_rest = 2 |C0| / (pi Gamma(-a) (1+2a)).
-        # T keeps that below half the budget; the floor of 30 decides it for
-        # every xi in (1/2, 1), leaving the rest at ~1e-7 or less.
-        half_turn = 0.5 * math.pi * a
-        tail = cfinversion.PowerTail(coef=-xi * complex(math.cos(half_turn), math.sin(half_turn)) / gamma_neg_a, power=a)
-        k_rest = 2.0 * abs(tail.coef) / (math.pi * gamma_neg_a * (1.0 + 2.0 * a))
-        t_max = max(30.0, (4.0 * k_rest / tol) ** (1.0 / (1.0 + 2.0 * a)))
-        cf = lambda nodes: sum_over_max_cf(xi, nodes)
-        slack = 6.0
-    else:  # the unit-scale simulation law
-        tan_half = 1.0 if spec.alpha == 1.0 else abs(math.tan(math.pi * spec.alpha / 2.0))
-        t_max = max(8.0, math.log(1.0 / (math.pi * tol)) ** (1.0 / spec.alpha))
-        cf = lambda nodes: limit_cf(spec, nodes)
-        slack = tan_half * spec.alpha * t_max ** max(0.0, spec.alpha - 1.0) + math.log(t_max) + 2.0
-    return cfinversion.GilPelaezInverter.from_cf(cf, t_max, x_max, tail_err=tol, phase_slack=slack, tail=tail)
+def _build_inverter(alpha: float, x_max: float) -> cfinversion.GilPelaezInverter:
+    """The CF inverter of the sum-over-max law of index alpha resolving
+    |x| <= x_max; the last few are kept, since each law is inverted at
+    several levels."""
+    xi, tol = 1.0 / alpha, _INVERTER_TOL
+    gamma_neg_a = math.gamma(2.0 - alpha) / (alpha * (alpha - 1.0))  # Gamma(-a) > 0 on (1, 2)
+    # phi(t) = C0 e^{it} t^-a / (1 - rho(t)) with |rho(t)| <= r(t) =
+    # 2 t^(-1-a) / Gamma(-a) (see sum_over_max_cf).  Beyond T the CF minus
+    # its leading term is at most |C0| t^-a r(t) / (1 - r(T)), and r(T) < 1e-3
+    # for T >= 30, so its CDF contribution is at most
+    # 2 k_rest T^(-1-2a) with k_rest = 2 |C0| / (pi Gamma(-a) (1+2a)).
+    # T keeps that below half the budget; the floor of 30 decides it for
+    # every xi in (1/2, 1), leaving the rest at ~1e-7 or less.
+    half_turn = 0.5 * math.pi * alpha
+    tail = cfinversion.PowerTail(coef=-xi * complex(math.cos(half_turn), math.sin(half_turn)) / gamma_neg_a, power=alpha)
+    k_rest = 2.0 * abs(tail.coef) / (math.pi * gamma_neg_a * (1.0 + 2.0 * alpha))
+    t_max = max(30.0, (4.0 * k_rest / tol) ** (1.0 / (1.0 + 2.0 * alpha)))
+    return cfinversion.GilPelaezInverter.from_cf(
+        lambda nodes: sum_over_max_cf(xi, nodes), t_max, x_max, tail_err=tol, tail=tail
+    )
 
 
 def _solve_in_resolved_range(spec: StableSpec, x_max: float, solve, probs: np.ndarray):
@@ -466,8 +421,18 @@ def _solve_in_resolved_range(spec: StableSpec, x_max: float, solve, probs: np.nd
     inverter of `spec` resolves it, and its value there.
 
     solve(inverter, p) returns the values of the probabilities p, NaN for
-    those beyond that inverter's range.
+    those beyond that inverter's range.  Only the sum-over-max law is
+    inverted, and a probability within 10 x the CDF error bound of 0 or 1
+    is refused: the bound would swamp its tail.
     """
+    if spec.kind != SUM_OVER_MAX:
+        raise DomainError(f"only the {SUM_OVER_MAX} law is inverted, not the {spec.kind!r} law")
+    thin = probs[np.minimum(probs, 1.0 - probs) < 10.0 * _INVERTER_TOL]
+    if thin.size:
+        raise DomainError(
+            f"cf-inversion cannot resolve level {thin[0]:g}: it lies within "
+            f"{10.0 * _INVERTER_TOL:g} of 0 or 1, 10 x the inverter's CDF error bound"
+        )
     x_maxes = np.full(probs.shape, np.nan)
     values = np.full(probs.shape, np.nan)
     while True:
@@ -476,7 +441,7 @@ def _solve_in_resolved_range(spec: StableSpec, x_max: float, solve, probs: np.nd
             return x_maxes, values
         if x_max > 2.0**22:
             raise ConvergenceFailure(f"probability {probs[todo[0]]} beyond the resolved range (+-{x_max / 4.0:g})")
-        values[todo] = solve(_build_inverter(_InverterKey.of(spec, x_max)), probs[todo])
+        values[todo] = solve(_build_inverter(spec.alpha, x_max), probs[todo])
         x_maxes[todo[~np.isnan(values[todo])]] = x_max
         x_max *= 4.0
 
@@ -504,8 +469,8 @@ def limit_quantile(
     mc_k: int = 4000,
     mc_n: int = 10_000_000,
 ) -> QuantileEstimate | list[QuantileEstimate]:
-    """Quantiles of a limit law at the level q, or at each level of a
-    sequence q, by CF inversion or Monte Carlo: one QuantileEstimate for a
+    """Quantiles of the sum-over-max law at the level q, or at each level of
+    a sequence q, by CF inversion or Monte Carlo: one QuantileEstimate for a
     float, a list of them for a sequence.
 
     cf-inversion is deterministic: the Gil-Pelaez CDF (two-stage panel sum,
@@ -516,14 +481,14 @@ def limit_quantile(
     Its std_error field reports the numerical error estimate: the a-priori
     CDF error bound 3e-6 divided by the local density, plus 1e-6, which
     bounds the root-finding error with room to spare; the densities of all
-    levels an inverter answers come from one CDF call.  For the
-    sum-over-max law the quadrature stops at t_max = 30 and the CF's
-    leading l^{-a} term is integrated beyond it in closed form (see
-    sum_over_max_cf): 5,808 nodes at x_max = 32 for every xi, where a
-    truncated integral needed 43k (xi = 0.55) to 1.4M (xi = 0.9).
-    monte-carlo draws `paths` replicates once (for the sum-over-max law:
-    the finite-n statistic with parameters mc_k, mc_n) and reports each
-    level's type-7 empirical quantile with a 10-batch standard error.
+    levels an inverter answers come from one CDF call.  The quadrature
+    stops at t_max = 30 and the CF's leading l^{-a} term is integrated
+    beyond it in closed form (see sum_over_max_cf): 5,808 nodes at
+    x_max = 32 for every xi, where a truncated integral needed 43k
+    (xi = 0.55) to 1.4M (xi = 0.9).  A level within 3e-5 of 0 or 1 is
+    refused.  monte-carlo draws `paths` replicates of the finite-n
+    statistic with parameters mc_k, mc_n once and reports each level's
+    type-7 empirical quantile with a 10-batch standard error.
     """
     levels = np.atleast_1d(np.asarray(q, dtype=float))
     for level in levels:
@@ -533,7 +498,7 @@ def limit_quantile(
         x_maxes, values = _solve_in_resolved_range(spec, 32.0, lambda inv, p: inv.quantile(p), levels)
         errors = np.empty(levels.size)
         for x_max in np.unique(x_maxes):
-            inv = _build_inverter(_InverterKey.of(spec, x_max))
+            inv = _build_inverter(spec.alpha, x_max)
             mine = x_maxes == x_max
             h = 1e-3 * np.maximum(1.0, np.abs(values[mine]))
             f_hi, f_lo = np.split(inv.cdf(np.concatenate([values[mine] + h, values[mine] - h])), 2)
@@ -546,7 +511,9 @@ def limit_quantile(
     elif method == "monte-carlo":
         if rng is None:
             raise DomainError("monte-carlo method needs an RngStream")
-        draws = _limit_law_draws(spec, paths, rng, mc_k, mc_n)
+        if spec.kind != SUM_OVER_MAX:
+            raise DomainError(f"only the {SUM_OVER_MAX} law is simulated here, not the {spec.kind!r} law")
+        draws = sample_sum_over_max_statistic(spec.xi, paths, rng, k=mc_k, n=mc_n)
         estimates = [QuantileEstimate.from_samples(draws, float(level)) for level in levels]
     else:
         raise DomainError(f"unknown method {method!r}")

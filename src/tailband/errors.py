@@ -58,10 +58,6 @@ class MeanDoesNotExist(TailbandError):
     pass
 
 
-class MissingQuantileFunction(TailbandError):
-    pass
-
-
 class WindowMismatch(TailbandError):
     pass
 

@@ -30,6 +30,7 @@ reproducible bit-for-bit at any worker count.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,8 +86,17 @@ class QuantileEstimate:
     @classmethod
     def from_samples(cls, samples, level: float, grid_m: int = 0) -> "QuantileEstimate":
         """Type-7 empirical level-quantile of Monte Carlo draws, with its
-        10-batch standard error; n_paths is the number of draws."""
+        10-batch standard error; n_paths is the number of draws.  Fewer than
+        5 draws expected beyond the level get a warning: the quantile is
+        then little more than the most extreme draw."""
         samples = np.asarray(samples, dtype=float)
+        beyond = min(level, 1.0 - level) * samples.size
+        if beyond < 5:
+            warnings.warn(
+                f"the level-{level:g} quantile of {samples.size} draws rests on {beyond:.3g} draws beyond it; "
+                "raise the path count for a meaningful value",
+                stacklevel=2,
+            )
         return cls(
             value=float(np.quantile(samples, level)),
             level=level,
@@ -244,10 +254,10 @@ def bisect(root_is_above, lo, hi, xtol: float):
     return 0.5 * (lo + hi)
 
 
-def qq_sup_quantile(level: float, eps: float, terms: int = 15) -> QuantileEstimate:
+def qq_sup_quantile(level: float, eps: float) -> QuantileEstimate:
     """level-quantile of sup_{t >= delta} |W(t)|/t with delta = eps/(1-eps).
 
-    Solves cone_exit_probability(M, delta, terms) = 1 - level by bisection
+    Solves cone_exit_probability(M, delta) = 1 - level by bisection
     in x = M*sqrt(delta), which halves the bracket until it is at most
     xtol = 1e-13 wide and returns its midpoint; the returned M satisfies
     |P(sup > M) - (1-level)| <= 1e-8.
@@ -266,11 +276,11 @@ def qq_sup_quantile(level: float, eps: float, terms: int = 15) -> QuantileEstima
     sqrt_d = math.sqrt(delta)
 
     def prob_at_x(x: float) -> float:
-        return cone_exit_probability(x / sqrt_d, delta, terms)
+        return cone_exit_probability(x / sqrt_d, delta)
 
     x_lo = 0.085
     if prob_at_x(x_lo) < target:
-        raise ConvergenceFailure(f"level {level} too extreme for {terms}-term series")
+        raise ConvergenceFailure(f"level {level} too extreme for the 15-term series")
     x_hi = 0.5
     for _ in range(80):
         if prob_at_x(x_hi) < target:

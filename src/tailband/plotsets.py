@@ -8,22 +8,19 @@ line y = x * xi/(1-xi).  Normalized variants blow the fluctuations up by the
 appropriate rate so they converge to non-degenerate limit processes; those
 are what the band quantiles are calibrated against.
 
-Plots carry their truncation: points with j/k < eps are dropped because the
+Every plot is truncated: points with j/k < eps are dropped because the
 limit fluctuation variance explodes there.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
-
 import numpy as np
 
 from .data import OrderedSample, TailIndexEstimate, me_at_order_statistics
 from .errors import (
     BadK,
     DomainError,
-    MissingQuantileFunction,
     NonPositiveOrderStatistic,
     RegimeMismatch,
     WindowMismatch,
@@ -34,7 +31,6 @@ QQ_NORMALIZED = "qq-normalized"
 ME = "me"
 ME_NORMALIZED_LT_HALF = "me-normalized-lt-half"
 ME_NORMALIZED_GT_HALF = "me-normalized-gt-half"
-ME_NORMALIZED_GT_ONE = "me-normalized-gt-one"
 
 _KINDS = (
     QQ,
@@ -42,12 +38,10 @@ _KINDS = (
     ME,
     ME_NORMALIZED_LT_HALF,
     ME_NORMALIZED_GT_HALF,
-    ME_NORMALIZED_GT_ONE,
 )
 
 LT_HALF = "lt-half"
 GT_HALF = "gt-half"
-GT_ONE = "gt-one"
 
 
 def truncation_index(eps: float, k: int) -> int:
@@ -77,11 +71,6 @@ class PlotConfig:
             raise DomainError(f"alpha must lie in (0,1), got {self.alpha}")
         if 1.0 - self.alpha / 2.0 == 1.0:
             raise DomainError(f"alpha={self.alpha} is too small: the band level 1 - alpha/2 rounds to 1")
-
-    @property
-    def delta(self) -> float:
-        """Time-inversion window eps/(1-eps) used by the QQ quantile."""
-        return self.eps / (1.0 - self.eps)
 
 
 @dataclass(frozen=True)
@@ -166,23 +155,22 @@ def me_limit_set(xi: float, eps: float) -> LimitSet:
 # QQ sets
 # ---------------------------------------------------------------------------
 
-def _qq_indices(cfg: PlotConfig, truncated: bool) -> np.ndarray:
-    j_min = truncation_index(cfg.eps, cfg.k) if truncated else 1
-    return np.arange(cfg.k, j_min - 1, -1)  # j descending -> x ascending from 0
+def _qq_indices(cfg: PlotConfig) -> np.ndarray:
+    return np.arange(cfg.k, truncation_index(cfg.eps, cfg.k) - 1, -1)  # j descending -> x ascending from 0
 
 
-def qq_set(sample: OrderedSample, cfg: PlotConfig, truncated: bool = True) -> PlotSet:
+def qq_set(sample: OrderedSample, cfg: PlotConfig) -> PlotSet:
     """Log-scale QQ plot of the top k order statistics.
 
-    Points (-log(j/k), log(X_(j)/X_(k))) for j = k down to ceil(eps*k)
-    (or down to 1 when truncated=False).  Scale-invariant in the data.
+    Points (-log(j/k), log(X_(j)/X_(k))) for j = k down to ceil(eps*k).
+    Scale-invariant in the data.
     """
     if cfg.k >= sample.n:
         raise BadK(f"k={cfg.k} must be < n={sample.n}")
     x_k = sample.values[cfg.k - 1]
     if x_k <= 0:
         raise NonPositiveOrderStatistic(f"X_({cfg.k}) = {x_k} <= 0")
-    j = _qq_indices(cfg, truncated)
+    j = _qq_indices(cfg)
     xs = -np.log(j / cfg.k) + 0.0  # + 0.0 turns -log(1) = -0.0 into +0.0
     ys = np.log(sample.values[j - 1] / x_k) + 0.0
     return PlotSet(
@@ -190,12 +178,11 @@ def qq_set(sample: OrderedSample, cfg: PlotConfig, truncated: bool = True) -> Pl
     )
 
 
-def qq_normalized_set(
-    sample: OrderedSample, cfg: PlotConfig, xi: TailIndexEstimate, truncated: bool = False
-) -> PlotSet:
+def qq_normalized_set(sample: OrderedSample, cfg: PlotConfig, xi: TailIndexEstimate) -> PlotSet:
     """QQ plot recentered on its limit line with sqrt(k)-blown-up fluctuations.
 
-    Points (-log(j/k), -xi log(j/k) + sqrt(k) (log(X_(j)/X_(k)) + xi log(j/k))).
+    Points (-log(j/k), -xi log(j/k) + sqrt(k) (log(X_(j)/X_(k)) + xi log(j/k)))
+    for j = k down to ceil(eps*k).
     Converges weakly to the line perturbed by xi B(t)/t; used to check the
     fluctuation law, not to build bands.
     """
@@ -206,7 +193,7 @@ def qq_normalized_set(
     x_k = sample.values[cfg.k - 1]
     if x_k <= 0:
         raise NonPositiveOrderStatistic(f"X_({cfg.k}) = {x_k} <= 0")
-    j = _qq_indices(cfg, truncated)
+    j = _qq_indices(cfg)
     log_ratio = np.log(j / cfg.k)
     xs = -log_ratio + 0.0
     fluct = math.sqrt(cfg.k) * (np.log(sample.values[j - 1] / x_k) + xi.xi * log_ratio)
@@ -224,16 +211,14 @@ def qq_normalized_set(
 # ME sets
 # ---------------------------------------------------------------------------
 
-def _me_indices(cfg: PlotConfig, truncated: bool) -> np.ndarray:
-    i_min = max(2, truncation_index(cfg.eps, cfg.k)) if truncated else 2
-    return np.arange(i_min, cfg.k + 1)
+def _me_indices(cfg: PlotConfig) -> np.ndarray:
+    return np.arange(max(2, truncation_index(cfg.eps, cfg.k)), cfg.k + 1)
 
 
-def me_set(sample: OrderedSample, cfg: PlotConfig, truncated: bool = True) -> PlotSet:
+def me_set(sample: OrderedSample, cfg: PlotConfig) -> PlotSet:
     """Scaled mean-excess plot over the top k order statistics.
 
-    Points (X_(i)/X_(k), ME(X_(i))/X_(k)) for i = 2..k (truncation keeps
-    i/k >= eps).  Scale-invariant; x-coordinates are >= 1 and non-increasing
+    Points (X_(i)/X_(k), ME(X_(i))/X_(k)) for i = 2..k with i/k >= eps.  Scale-invariant; x-coordinates are >= 1 and non-increasing
     along the index.
     """
     if cfg.k < 3:
@@ -244,7 +229,7 @@ def me_set(sample: OrderedSample, cfg: PlotConfig, truncated: bool = True) -> Pl
     if x_k <= 0:
         raise NonPositiveOrderStatistic(f"X_({cfg.k}) = {x_k} <= 0")
     me_all = me_at_order_statistics(sample, cfg.k)  # thresholds X_(2)..X_(k)
-    i = _me_indices(cfg, truncated)
+    i = _me_indices(cfg)
     xs = sample.values[i - 1] / x_k
     ys = me_all[i - 2] / x_k
     return PlotSet(
@@ -257,19 +242,16 @@ def me_normalized_set(
     cfg: PlotConfig,
     xi: TailIndexEstimate,
     regime: str,
-    known_b: Callable[[float], float] | None = None,
-    truncated: bool = True,
 ) -> PlotSet:
-    """Mean-excess plot recentered on its limit with regime-specific scaling.
+    """Mean-excess plot recentered on its limit with regime-specific
+    scaling, over the points of me_set.
 
     lt-half (0 < xi < 1/2): both components blown up by sqrt(k).
     gt-half (1/2 < xi < 1): the vertical fluctuation is scaled by
         k X_(k) / X_(1) (data-driven normalization), the horizontal one by
         sqrt(k) as before.
-    gt-one (xi > 1): the vertical component is ME(X_(i)) / (b(n)/k), which
-        requires the true quantile function b through `known_b`.
     """
-    if regime not in (LT_HALF, GT_HALF, GT_ONE):
+    if regime not in (LT_HALF, GT_HALF):
         raise DomainError(f"unknown regime {regime!r}")
     if cfg.k < 3:
         raise BadK("me_normalized_set needs k >= 3")
@@ -280,38 +262,27 @@ def me_normalized_set(
         raise RegimeMismatch(f"lt-half regime needs 0 < xi < 1/2, got {s}")
     if regime == GT_HALF and not (0.5 < s < 1.0):
         raise RegimeMismatch(f"gt-half regime needs 1/2 < xi < 1, got {s}")
-    if regime == GT_ONE:
-        if not (s > 1.0):
-            raise RegimeMismatch(f"gt-one regime needs xi > 1, got {s}")
-        if known_b is None:
-            raise MissingQuantileFunction("gt-one normalization needs the quantile function b")
     x_k = sample.values[cfg.k - 1]
     x_1 = sample.values[0]
     if x_k <= 0:
         raise NonPositiveOrderStatistic(f"X_({cfg.k}) = {x_k} <= 0")
     me_all = me_at_order_statistics(sample, cfg.k)
-    i = _me_indices(cfg, truncated)
+    i = _me_indices(cfg)
     ratio = i / cfg.k
     model_x = ratio ** (-s)
     fluct_x = math.sqrt(cfg.k) * (sample.values[i - 1] / x_k - model_x)
     xs = model_x + fluct_x
     me_vals = me_all[i - 2]
     normalizers = {"x_k": float(x_k), "x_1": float(x_1), "xi": s}
+    model_y = s / (1.0 - s) * model_x
     if regime == LT_HALF:
-        model_y = s / (1.0 - s) * model_x
         ys = model_y + math.sqrt(cfg.k) * (me_vals / x_k - model_y)
         kind = ME_NORMALIZED_LT_HALF
-    elif regime == GT_HALF:
-        model_y = s / (1.0 - s) * model_x
+    else:
         scale = cfg.k * x_k / x_1
         ys = model_y + scale * (me_vals / x_k - model_y)
         kind = ME_NORMALIZED_GT_HALF
         normalizers["vertical_scale"] = float(scale)
-    else:
-        b_n = float(known_b(sample.n))
-        ys = me_vals / (b_n / cfg.k)
-        kind = ME_NORMALIZED_GT_ONE
-        normalizers["b_n"] = b_n
     return PlotSet(np.column_stack([xs, ys]), kind, cfg, normalizers=normalizers, indices=i)
 
 

@@ -15,7 +15,7 @@ from tailband.bands import (
     qq_band,
 )
 from tailband.data import OrderedSample, fixed_xi, hill_estimate
-from tailband.distributions import sample_pareto
+from tailband.distributions import SUM_OVER_MAX, StableSpec, limit_quantile, sample_pareto
 from tailband.errors import DomainError, MeanDoesNotExist, RegimeBoundary
 from tailband.limitsim import QuantileEstimate, bridge_functional_samples, bridge_quantiles, qq_sup_quantile
 from tailband.plotsets import PlotConfig, qq_set
@@ -132,15 +132,16 @@ def test_me_bands_heavy_regime_runs_one_quantile_search(monkeypatch):
     with pytest.warns(UserWarning):  # the 99% band
         found = me_bands(s, cfg, fixed_xi(0.7), alphas, RngStream(8), n_paths=1000, grid_m=1024)
     assert searches == [[0.005, 0.995, 0.025, 0.975, 0.05, 0.95]]
-    # each band as me_band builds it with a search of its own
+    # each band as me_band builds it from a search of its own
+    spec = StableSpec(alpha=1.0 / 0.7, skew=1.0, kind=SUM_OVER_MAX)
     for band, alpha in zip(found, alphas):
         c = band.quantiles_used["c"]
+        tilde = limit_quantile(spec, [alpha / 2, 1 - alpha / 2])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
-            alone = me_band(s, PlotConfig(1000, 0.1, alpha), fixed_xi(0.7), (c, None))
+            alone = me_band(s, PlotConfig(1000, 0.1, alpha), fixed_xi(0.7), (c, None), tilde)
         assert alone.quantiles_used == band.quantiles_used
         assert alone.dy_lo.tolist() == band.dy_lo.tolist() and alone.dy_hi.tolist() == band.dy_hi.tolist()
-    assert searches[1:] == [[0.005, 0.995], [0.025, 0.975], [0.05, 0.95]]
 
 
 def test_me_band_heavy_regime_99_warns():

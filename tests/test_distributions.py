@@ -14,11 +14,10 @@ from tailband.distributions import (
     GpdParams,
     StableSpec,
     _build_inverter,
-    _InverterKey,
     gpd_me,
     lambertw,
-    limit_cf,
     limit_quantile,
+    limit_quantile_curve,
     nonstd_quantile_tail,
     nonstd_sf,
     sample_gpd,
@@ -31,6 +30,7 @@ from tailband.distributions import (
 )
 from tailband.data import empirical_me
 from tailband.errors import DomainError, RegimeMismatch
+from tailband.limitsim import QuantileEstimate
 from tailband.rng import RngStream
 
 
@@ -181,19 +181,19 @@ LIMIT_SPECS = [
 
 @pytest.mark.parametrize("spec", LIMIT_SPECS)
 def test_limit_cf_normalization(spec):
-    assert limit_cf(spec, 0.0) == pytest.approx(1.0)
+    assert sum_over_max_cf(spec.xi, 0.0) == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("spec", LIMIT_SPECS)
 def test_limit_cf_hermitian(spec):
     ts = np.array([0.3, 1.0, 4.4])
-    assert np.allclose(limit_cf(spec, ts), np.conj(limit_cf(spec, -ts)))
+    assert np.allclose(sum_over_max_cf(spec.xi, ts), np.conj(sum_over_max_cf(spec.xi, -ts)))
 
 
 @pytest.mark.parametrize("spec", LIMIT_SPECS)
 def test_limit_cf_modulus_bound(spec):
     ts = np.linspace(-10, 10, 401)
-    assert np.all(np.abs(limit_cf(spec, ts)) <= 1.0 + 1e-12)
+    assert np.all(np.abs(sum_over_max_cf(spec.xi, ts)) <= 1.0 + 1e-12)
 
 
 def test_sum_over_max_cf_vs_direct_quadrature():
@@ -282,19 +282,51 @@ def test_limit_quantile_validation():
         limit_quantile(spec, 0.5, method="bogus")
 
 
+def _gaussian_inverter():
+    """The inverter of exp(-t^2), the CF of N(0, 2) and of the stable law at
+    alpha = 2, with the sum-over-max inverters' CDF error bound: a law
+    whose quantiles are known exactly."""
+    return GilPelaezInverter.from_cf(lambda t: np.exp(-t * t), 8.0, 32.0, tail_err=3e-6)
+
+
 def test_limit_quantile_simulation_median_symmetry():
-    spec = StableSpec(alpha=2.0, skew=0.0, kind=SIMULATION)
-    q_cf = limit_quantile(spec, 0.5, method="cf-inversion")
-    assert q_cf.value == pytest.approx(0.0, abs=1e-6)
-    q_mc = limit_quantile(spec, 0.5, method="monte-carlo", rng=RngStream(13), paths=200_000)
+    assert _gaussian_inverter().quantile(0.5) == pytest.approx(0.0, abs=1e-6)
+    draws = sample_stable(StableSpec(alpha=2.0, skew=0.0, kind=SIMULATION), 200_000, RngStream(13)).values
+    q_mc = QuantileEstimate.from_samples(draws, 0.5)
     assert q_mc.value == pytest.approx(0.0, abs=4 * q_mc.std_error)
 
 
 def test_limit_quantile_gaussian_anchor():
-    # simulation law at alpha=2 is N(0, 2); check a nontrivial quantile
-    spec = StableSpec(alpha=2.0, skew=0.0, kind=SIMULATION)
-    q = limit_quantile(spec, 0.975, method="cf-inversion")
-    assert q.value == pytest.approx(math.sqrt(2.0) * 1.959963984540054, abs=1e-5)
+    # exp(-t^2) is the CF of N(0, 2); check a nontrivial quantile
+    q = _gaussian_inverter().quantile(0.975)
+    assert q == pytest.approx(math.sqrt(2.0) * 1.959963984540054, abs=1e-5)
+
+
+def test_limit_quantile_refuses_other_laws_and_unresolvable_levels():
+    sim = StableSpec(alpha=1.5, skew=1.0, kind=SIMULATION)
+    with pytest.raises(DomainError, match="sum-over-max"):
+        limit_quantile(sim, 0.5)
+    with pytest.raises(DomainError, match="sum-over-max"):
+        limit_quantile(sim, 0.5, method="monte-carlo", rng=RngStream(0), paths=100)
+    with pytest.raises(DomainError, match="sum-over-max"):
+        limit_quantile_curve(sim, [0.5])
+    spec = StableSpec(alpha=1.0 / 0.7, skew=1.0, kind=SUM_OVER_MAX)
+    # 10 x the CDF error bound 3e-6 is the first level cf-inversion answers
+    for level in (1e-12, 2.9e-5, 1.0 - 2.9e-5):
+        with pytest.raises(DomainError, match="cannot resolve"):
+            limit_quantile(spec, [0.5, level])
+    with pytest.raises(DomainError, match="cannot resolve"):
+        limit_quantile_curve(spec, [1e-9, 0.5])
+    assert limit_quantile(spec, 1e-4).level == 1e-4  # ACCEPT 06 clips its levels at 5e-4
+
+
+def test_monte_carlo_quantile_warns_on_a_thin_tail():
+    draws = np.arange(1500.0)
+    with pytest.warns(UserWarning, match="rests on 3 draws beyond it"):
+        QuantileEstimate.from_samples(draws, 0.998)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        QuantileEstimate.from_samples(draws, 0.995)  # 7.5 draws beyond: the 1% band of 1,500 paths
 
 
 def test_limit_quantile_determinism():
@@ -331,14 +363,14 @@ def test_sum_over_max_quantile_cross_method():
         StableSpec(alpha=1.0 / 0.55, skew=1.0, kind=SUM_OVER_MAX),
         StableSpec(alpha=1.0 / 0.7, skew=1.0, kind=SUM_OVER_MAX),
         StableSpec(alpha=1.0 / 0.9, skew=1.0, kind=SUM_OVER_MAX),
-        StableSpec(alpha=2.0, skew=0.0, kind=SIMULATION),
+        None,
     ],
     ids=["som-0.55", "som-0.7", "som-0.9", "gaussian"],
 )
 def test_inverter_cdf_matches_dense_sum(spec):
     # The two-stage panel sum is the dense quadrature sum, reordered; both
     # add the inverter's closed-form tail (sum-over-max laws only).
-    inv = _build_inverter(_InverterKey.of(spec, 32.0))
+    inv = _gaussian_inverter() if spec is None else _build_inverter(spec.alpha, 32.0)
     xs = np.linspace(-inv.x_max, inv.x_max, 33)
     dense = np.array([
         0.5 - ((np.exp(-1j * np.outer([x], inv.nodes)) @ inv.kernel)[0] + inv.tail_sums(np.array([x]))[0]).imag / np.pi
@@ -350,7 +382,7 @@ def test_inverter_cdf_matches_dense_sum(spec):
 
 @pytest.mark.parametrize("xi", [0.55, 0.7, 0.9])
 def test_sum_over_max_closed_form_tail_matches_quadrature(xi):
-    inv = _build_inverter(_InverterKey.of(StableSpec(alpha=1.0 / xi, skew=1.0, kind=SUM_OVER_MAX), 32.0))
+    inv = _build_inverter(1.0 / xi, 32.0)
     tail, t_max = inv.tail, inv.t_max
     assert t_max == pytest.approx(30.0)
     # x = 1 has no oscillation; 0.99 and 1.02 take the power series, the
@@ -374,16 +406,16 @@ def test_sum_over_max_tail_matches_truncated_inverter(xi, x_max):
     t_max = max(50.0, (2.0 * xi / math.gamma(-a) / (math.pi * a * tol)) ** (1.0 / a))
     truncated = GilPelaezInverter.from_cf(
         lambda t: np.concatenate([sum_over_max_cf(xi, c) for c in np.array_split(t, 1 + t.size // 250_000)]),
-        t_max, x_max, tail_err=tol, phase_slack=6.0,
+        t_max, x_max, tail_err=tol,
     )
-    inv = _build_inverter(_InverterKey.of(StableSpec(alpha=a, skew=1.0, kind=SUM_OVER_MAX), x_max))
+    inv = _build_inverter(a, x_max)
     assert inv.cdf_abs_err == tol
     xs = np.append(np.linspace(-x_max, x_max, 65), [0.97, 1.0, 1.03])
     assert np.max(np.abs(inv.cdf(xs) - truncated.cdf(xs))) <= inv.cdf_abs_err
 
 
 def test_inverter_nodes_factor_into_panels():
-    inv = _build_inverter(_InverterKey.of(StableSpec(alpha=1.0 / 0.55, skew=1.0, kind=SUM_OVER_MAX), 32.0))
+    inv = _build_inverter(1.0 / 0.55, 32.0)
     p = np.arange(inv.n_panels)
     assert np.array_equal(inv.nodes, (p[:, None] * inv.panel_width + inv.offsets[None, :]).ravel())
     assert np.all(np.diff(inv.nodes) > 0)
@@ -398,7 +430,7 @@ def test_gauss_legendre_literals_match_leggauss():
 @pytest.mark.parametrize("xi", [0.55, 0.7, 0.9])
 def test_inverter_cdf_of_a_point_does_not_depend_on_its_batch(xi):
     # 1,501 points span two CDF chunks (1,444 points each at 726 panels)
-    inv = _build_inverter(_InverterKey.of(StableSpec(alpha=1.0 / xi, skew=1.0, kind=SUM_OVER_MAX), 32.0))
+    inv = _build_inverter(1.0 / xi, 32.0)
     xs = np.append(np.linspace(-inv.x_max, inv.x_max, 1500), 1.0)
     batch = inv.cdf(xs)
     assert batch.tobytes() == np.array([inv.cdf(float(x)) for x in xs]).tobytes()
@@ -433,7 +465,7 @@ def _limit_quantile_one_level(spec, q):
     ladder 32, 128, ... whose range holds it, one CDF point at a time."""
     x_max = 32.0
     while True:
-        inv = _build_inverter(_InverterKey.of(spec, x_max))
+        inv = _build_inverter(spec.alpha, x_max)
         value = _search_one_level(inv, q)
         if value is not None:
             h = 1e-3 * max(1.0, abs(value))
@@ -461,7 +493,7 @@ def test_batched_limit_quantiles_equal_the_search_for_each_level(levels, x_maxes
 
 
 def test_inverter_quantile_beyond_the_range_is_nan():
-    inv = _build_inverter(_InverterKey.of(StableSpec(alpha=1.0 / 0.7, skew=1.0, kind=SUM_OVER_MAX), 32.0))
+    inv = _build_inverter(1.0 / 0.7, 32.0)
     values = inv.quantile(np.array([1e-4, 0.5]))
     assert np.isnan(values[0]) and values[1] == inv.quantile(0.5)
     assert np.isnan(inv.quantile_curve(np.array([1e-4, 0.5]))).all()
@@ -471,16 +503,18 @@ def test_inverter_quantile_beyond_the_range_is_nan():
 
 @pytest.mark.parametrize("q", [0.005, 0.05, 0.3, 0.5, 0.9, 0.975, 0.995])
 def test_limit_quantile_gaussian_matches_normal_dist(q):
-    # the simulation law at alpha = 2 is N(0, 2)
-    est = limit_quantile(StableSpec(alpha=2.0, skew=0.0, kind=SIMULATION), q, method="cf-inversion")
-    exact = statistics.NormalDist(0.0, math.sqrt(2.0)).inv_cdf(q)
-    assert abs(est.value - exact) <= est.std_error
+    # within the error limit_quantile reports: the CDF error bound over the
+    # density, plus 1e-6
+    inv = _gaussian_inverter()
+    law = statistics.NormalDist(0.0, math.sqrt(2.0))
+    exact = law.inv_cdf(q)
+    assert abs(inv.quantile(q) - exact) <= inv.cdf_abs_err / law.pdf(exact) + 1e-6
 
 
 def test_quantile_curve_matches_pointwise_quantile():
     # On a grid fine enough that linear interpolation is exact to well under
     # xtol, the vectorised curve and per-point bisection agree within xtol.
-    inv = _build_inverter(_InverterKey.of(StableSpec(alpha=2.0, skew=0.0, kind=SIMULATION), 32.0))
+    inv = _gaussian_inverter()
     probs = np.array([0.005, 0.05, 0.3, 0.5, 0.9, 0.975, 0.995])
     xtol = 1e-6
     curve = inv.quantile_curve(probs, n_grid=20_000)
@@ -492,7 +526,7 @@ def test_quantile_curve_within_std_error_sum_over_max():
     # The heavy-regime law has a non-smooth density at x = 1, where linear
     # interpolation on the coarse grid alone was off by 2.2e-3 (q = 0.92).
     spec = StableSpec(alpha=1.0 / 0.7, skew=1.0, kind=SUM_OVER_MAX)
-    inv = _build_inverter(_InverterKey.of(spec, 32.0))
+    inv = _build_inverter(spec.alpha, 32.0)
     probs = np.arange(1, 200) * 0.005
     curve = inv.quantile_curve(probs)
     for q, value in zip(probs, curve):
@@ -500,9 +534,7 @@ def test_quantile_curve_within_std_error_sum_over_max():
         assert abs(value - inv.quantile(q)) <= est.std_error, q
 
 
-def test_inverter_cache_is_bounded_and_keeps_rounding():
-    spec = StableSpec(alpha=1.0 / 0.55, skew=1.0, kind=SUM_OVER_MAX)
-    twin = StableSpec(alpha=spec.alpha * (1.0 + 1e-15), skew=1.0, kind=SUM_OVER_MAX)
-    assert twin.alpha != spec.alpha
-    assert _build_inverter(_InverterKey.of(twin, 32.0)) is _build_inverter(_InverterKey.of(spec, 32.0))
+def test_inverter_cache_is_bounded():
+    alpha = 1.0 / 0.55
+    assert _build_inverter(alpha, 32.0) is _build_inverter(alpha, 32.0)
     assert _build_inverter.cache_info().maxsize is not None

@@ -22,7 +22,7 @@ def test_qq_fluctuation_sup_matches_limit_law(bridge_paths):
     stats = np.empty(reps)
     for rep in range(reps):
         s = sample_pareto(xi, n, RngStream(41, rep))
-        ps = qq_normalized_set(s, cfg, fixed_xi(xi), truncated=True)
+        ps = qq_normalized_set(s, cfg, fixed_xi(xi))
         fluct = ps.y - xi * ps.x  # the sqrt(k)-scaled deviation alone
         stats[rep] = np.abs(fluct).max()
     t, b = bridge_paths(2000, 2048, RngStream(42))

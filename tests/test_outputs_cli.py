@@ -433,9 +433,13 @@ def test_refused_svg_path_leaves_no_partial_run(tmp_path, capsys, svg):
      "eps=0.9999 holds 1 of the grid=1000"),
     (["--plot", "me", "--k", 300, "--eps", 0.1, "--band", "--xi", 0.25, "--paths", 100], "DomainError",
      "1000 paths, got 100"),
+    (["--plot", "qq", "--k", 300, "--eps", 0.05, "--band", "--xi", 1e308], "DomainError",
+     "xi=1e+308 is too large: the band half-width"),
+    (["--plot", "me", "--k", 300, "--eps", 0.1, "--band", "--xi", 0.7, "--alpha", 1e-9, "--paths", 100,
+      "--grid", 100], "DomainError", "cannot resolve level 5e-10"),
 ], ids=["multi-alpha-without-its-alpha", "band-regime-boundary", "multi-alpha-without-band",
         "qq-alpha-level-rounds-to-one", "me-alpha-level-rounds-to-one", "window-of-one-grid-column",
-        "too-few-paths-for-d"])
+        "too-few-paths-for-d", "qq-half-width-overflows", "sum-over-max-level-unresolvable"])
 def test_refused_band_leaves_no_data_file(sample_file, tmp_path, capsys, argv, error, names):
     outdir = tmp_path / "o"
     assert run_cli("analyze", sample_file, *argv, "--svg", "plot.svg", "--outdir", outdir) == 2

@@ -8,14 +8,12 @@ from tailband.distributions import sample_pareto
 from tailband.errors import (
     BadK,
     DomainError,
-    MissingQuantileFunction,
     NonPositiveOrderStatistic,
     RegimeMismatch,
     WindowMismatch,
 )
 from tailband.plotsets import (
     GT_HALF,
-    GT_ONE,
     LT_HALF,
     LimitSet,
     PlotConfig,
@@ -55,7 +53,6 @@ def test_plot_config_validation():
         PlotConfig(10, 1.5)
     with pytest.raises(DomainError):
         PlotConfig(10, 0.1, alpha=0.0)
-    assert PlotConfig(500, 0.05).delta == pytest.approx(0.05 / 0.95)
 
 
 # ---------------------------------------------------------------------------
@@ -81,14 +78,14 @@ def test_qq_set_truncation_window():
     ps = qq_set(s, PlotConfig(100, 0.1))
     assert ps.indices.min() == 10
     assert len(ps) == 91
-    full = qq_set(s, PlotConfig(100, 0.1), truncated=False)
+    full = qq_set(s, PlotConfig(100, 0.001))  # eps*k < 1 drops no point
     assert len(full) == 100
 
 
 def test_qq_set_exact_pareto_grid_on_line():
     xi = 0.37
     s = pareto_grid_sample(512, xi)
-    ps = qq_set(s, PlotConfig(128, 0.05), truncated=False)
+    ps = qq_set(s, PlotConfig(128, 0.001))
     assert np.abs(ps.y - xi * ps.x).max() < 1e-12
 
 
@@ -175,10 +172,6 @@ def test_me_normalized_regime_validation():
         me_normalized_set(s, cfg, fixed_xi(0.7), LT_HALF)
     with pytest.raises(RegimeMismatch):
         me_normalized_set(s, cfg, fixed_xi(0.25), GT_HALF)
-    with pytest.raises(RegimeMismatch):
-        me_normalized_set(s, cfg, fixed_xi(0.25), GT_ONE, known_b=lambda n: n**0.25)
-    with pytest.raises(MissingQuantileFunction):
-        me_normalized_set(s, cfg, fixed_xi(1.5), GT_ONE)
     with pytest.raises(DomainError):
         me_normalized_set(s, cfg, fixed_xi(0.25), "weird")
 
@@ -190,18 +183,6 @@ def test_me_normalized_gt_half_scale_recorded():
     expect = cfg.k * s.values[cfg.k - 1] / s.values[0]
     assert ps.normalizers["vertical_scale"] == pytest.approx(expect)
     assert ps.kind == "me-normalized-gt-half"
-
-
-def test_me_normalized_gt_one_uses_quantile_function():
-    s = sample_pareto(1.5, 2000, RngStream(6))
-    cfg = PlotConfig(200, 0.05)
-    b = lambda u: u**1.5
-    ps = me_normalized_set(s, cfg, fixed_xi(1.5), GT_ONE, known_b=b)
-    assert ps.normalizers["b_n"] == pytest.approx(2000**1.5)
-    # vertical coordinate is ME / (b(n)/k)
-    me_plain = me_set(s, cfg)
-    expect = me_plain.y * s.values[cfg.k - 1] / (b(2000) / cfg.k)
-    assert np.allclose(ps.y, expect, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
-"""Deletion audit: every public top-level name in src/tailband is read by the
-program itself, by the acceptance gate or by the benchmark, or it is listed
-in TEST_ONLY with the reason it stays although only tests use it."""
+"""Deletion audit: every public top-level name in src/tailband, and every
+public method, property and annotated field of a public class there, is read
+by the program itself, by the acceptance gate or by the benchmark, or it is
+listed in TEST_ONLY with the reason it stays although only tests use it."""
 import ast
 from pathlib import Path
 
@@ -35,6 +36,21 @@ def _public_names(tree: ast.Module) -> set[str]:
     return {n for n in names if not n.startswith("_")}
 
 
+def _public_members(tree: ast.Module) -> set[str]:
+    """Class.member for each public method, property and annotated field of
+    each public top-level class."""
+    members = set()
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+            continue
+        for node in cls.body:
+            if isinstance(node, ast.FunctionDef):
+                members.add(f"{cls.name}.{node.name}")
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                members.add(f"{cls.name}.{node.target.id}")
+    return {m for m in members if not m.split(".")[1].startswith("_")}
+
+
 def _read_names(tree: ast.Module) -> set[str]:
     """Names a module reads, imports, or spells as a whole string (the
     benchmark looks functions up by name)."""
@@ -42,29 +58,42 @@ def _read_names(tree: ast.Module) -> set[str]:
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
         elif isinstance(node, ast.ImportFrom):
             names.update(alias.name for alias in node.names)
+    return names | _read_attributes(tree)
+
+
+def _read_attributes(tree: ast.Module) -> set[str]:
+    """Attributes a module reads (obj.name) or spells as a whole string
+    (getattr, object.__setattr__).  A bare name is not a member read: a
+    local variable of the same name would hide an unread member."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
             names.add(node.value)
     return names
 
 
 def _unreached() -> list[str]:
-    """module.name of each public name that no module, the acceptance gate
-    nor the benchmark reads."""
+    """module.name, or module.Class.member, of each public name or class
+    member that no module, the acceptance gate nor the benchmark reads."""
     modules = {path.stem: _parse(path) for path in sorted(SRC.glob("*.py"))}
     bench = sorted((ROOT / "perfbench").glob("*.py"))
     assert bench, "the benchmark's sources are missing"
-    outside = [_parse(ROOT / "tests" / "test_acceptance.py"), *map(_parse, bench)]
-    read = set().union(*map(_read_names, [*modules.values(), *outside]))
-    return [
-        f"{module}.{name}"
-        for module, tree in modules.items()
-        for name in sorted(_public_names(tree))
-        if name not in read
-    ]
+    readers = [*modules.values(), _parse(ROOT / "tests" / "test_acceptance.py"), *map(_parse, bench)]
+    read = set().union(*map(_read_names, readers))
+    attributes = set().union(*map(_read_attributes, readers))
+    unreached = []
+    for module, tree in modules.items():
+        unreached += [f"{module}.{name}" for name in sorted(_public_names(tree)) if name not in read]
+        unreached += [
+            f"{module}.{member}"
+            for member in sorted(_public_members(tree))
+            if member.split(".")[1] not in attributes
+        ]
+    return unreached
 
 
 def test_every_public_name_is_reached():
