@@ -92,8 +92,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         "--threads",
         type=_int_arg(1),
         default=1,
-        help="worker threads for Monte Carlo batches (capped at the batch and CPU counts; "
-        "changes no output byte)",
+        help="worker threads for Monte Carlo batches (capped at the batch count and the CPUs "
+        "the process may use; changes no output byte)",
     )
 
 

@@ -306,8 +306,19 @@ _BLOCK_ROWS = 16
 
 def _window_start(eps: float, m: int) -> int:
     """Index of the first grid column t_j = (j + 1)/m with t_j >= eps: the
-    window t >= eps is the suffix of columns from there on."""
-    return int(np.searchsorted(np.arange(1, m + 1) / m, eps - 1e-12))
+    window t >= eps is the suffix of columns from there on.
+
+    The index is found without building the grid: ceil(v m) - 1 is at most a
+    rounding step off, and the same float comparisons a binary search over
+    np.arange(1, m + 1) / m makes settle it, so check_bridge_resolution
+    costs no memory at any m."""
+    v = eps - 1e-12
+    j = min(max(math.ceil(v * m) - 1, 0), m)
+    while j > 0 and j / m >= v:
+        j -= 1
+    while j < m and (j + 1) / m < v:
+        j += 1
+    return j
 
 
 def check_bridge_resolution(eps: float, n_paths: int, m: int, integral: bool) -> None:

@@ -24,14 +24,20 @@ def batch_sizes(total: int, batch: int) -> list[int]:
 
 
 def run_batches(fn: Callable[[T], R], args: Sequence[T], threads: int = 1) -> list[R]:
-    """Map fn over args, preserving order, on min(threads, len(args), CPU
-    count) worker threads; with one worker it runs in the calling thread.
+    """Map fn over args, preserving order, on min(threads, len(args), usable
+    CPUs) worker threads; with one worker it runs in the calling thread.
 
     The batch workers spend their time in numpy calls that release the
     interpreter lock (generator fills, cumulative sums, ufuncs and
     reductions), so the threads run in parallel.  The worker count changes
     no result, only the order in which batches are computed."""
-    workers = min(threads, len(args), os.cpu_count() or 1)
+    # the CPUs this process may run on: a cpuset or taskset can allow fewer
+    # than os.cpu_count(), which counts the machine's
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    workers = min(threads, len(args), cpus)
     if workers <= 1:
         return [fn(a) for a in args]
     with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -19,6 +19,8 @@ from tailband.limitsim import (
     reflection_exit_probability,
     _bridge_functional_worker,
     _image_series,
+    _window_start,
+    check_bridge_resolution,
 )
 from tailband.parallel import batch_sizes
 from tailband.rng import RngStream
@@ -268,6 +270,31 @@ def test_bridge_worker_memory_is_row_blocked(integral):
     finally:
         tracemalloc.stop()
     assert peak < 8e6, peak
+
+
+@pytest.mark.parametrize("m", [2, 3, 7, 1000, 8192, 10**6 + 3])
+def test_window_start_matches_a_search_of_the_grid(m):
+    # the closed form against the binary search over the whole grid it
+    # replaces, with eps on, a hair off and one ulp off each grid point
+    grid = np.arange(1, m + 1) / m
+    columns = range(m + 1) if m <= 8192 else sorted({0, 1, 2, m // 2, m - 2, m - 1, m} | set(range(0, m, 9973)))
+    for j in columns:
+        at = j / m
+        for eps in (at, at + 1e-12, at - 1e-12, np.nextafter(at, 2.0), np.nextafter(at, -1.0),
+                    np.nextafter(at + 1e-12, 2.0), np.nextafter(at + 1e-12, -1.0)):
+            eps = float(eps)
+            assert _window_start(eps, m) == int(np.searchsorted(grid, eps - 1e-12)), (m, j, eps)
+
+
+def test_resolution_check_builds_no_grid():
+    # validating a grid of 10^11 columns once took a 745 GiB arange
+    tracemalloc.start()
+    try:
+        check_bridge_resolution(0.1, 1500, 10**11, False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
 
 
 def test_bridge_functional_small_shape_scaling():

@@ -603,15 +603,34 @@ def test_run_batches_caps_workers(monkeypatch):
             return map(fn, args)
 
     monkeypatch.setattr(parallel, "ThreadPoolExecutor", RecordingPool)
-    monkeypatch.setattr(parallel.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.setattr(parallel.os, "cpu_count", lambda: 8)
     square = lambda v: v * v
     assert parallel.run_batches(square, [1, 2, 3, 4, 5], threads=64) == [1, 4, 9, 16, 25]
     assert parallel.run_batches(square, [1, 2], threads=64) == [1, 4]
     assert parallel.run_batches(square, [1, 2, 3, 4, 5], threads=2) == [1, 4, 9, 16, 25]
     assert created == [3, 2, 2]
+    # without an affinity mask the machine's CPU count caps the pool
+    monkeypatch.delattr(parallel.os, "sched_getaffinity")
+    monkeypatch.setattr(parallel.os, "cpu_count", lambda: 3)
+    assert parallel.run_batches(square, [1, 2, 3, 4, 5], threads=64) == [1, 4, 9, 16, 25]
+    assert created == [3, 2, 2, 3]
     monkeypatch.setattr(parallel.os, "cpu_count", lambda: None)
     assert parallel.run_batches(square, [1, 2, 3], threads=8) == [1, 4, 9]
-    assert created == [3, 2, 2]  # one CPU (or unknown): no pool
+    assert created == [3, 2, 2, 3]  # one CPU (or unknown): no pool
+
+
+def test_run_batches_stays_on_the_cpus_it_may_use(monkeypatch):
+    # a process pinned to one CPU of a larger machine runs every batch in the
+    # calling thread, whatever --threads asks for
+    import threading
+
+    from tailband import parallel
+
+    monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(parallel.os, "cpu_count", lambda: 8)
+    idents = parallel.run_batches(lambda v: threading.get_ident(), range(6), threads=4)
+    assert idents == [threading.get_ident()] * 6
 
 
 def _stdout_then_loaded(argv, tmp_path, package="scipy"):
