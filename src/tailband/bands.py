@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import OrderedSample, TailIndexEstimate, hill_estimate
+from .data import OrderedSample, hill_estimate
 from .distributions import (
     SUM_OVER_MAX,
     GpdParams,
@@ -42,7 +42,6 @@ from .limitsim import (
     QuantileEstimate,
     batch_quantile_std_error,
     bridge_functional_samples,
-    bridge_quantiles,
     check_bridge_resolution,
     qq_sup_quantile,
 )
@@ -110,25 +109,24 @@ class ConfidenceBand:
         return bool(np.all((xlo <= mx) & (mx <= xhi) & (ylo <= my) & (my <= yhi)))
 
 
-def qq_band(sample: OrderedSample, cfg: PlotConfig, xi: TailIndexEstimate) -> ConfidenceBand:
-    """(1 - alpha) confidence band around the truncated QQ plot."""
-    if not (xi.xi > 0):
-        raise DomainError(f"QQ band needs xi > 0, got {xi.xi}")
-    base = qq_set(sample, cfg)
+def qq_band(plot: PlotSet, cfg: PlotConfig, xi: float) -> ConfidenceBand:
+    """(1 - alpha) confidence band around the truncated QQ plot `plot`."""
+    if not (xi > 0):
+        raise DomainError(f"QQ band needs xi > 0, got {xi}")
     c = qq_sup_quantile(1.0 - cfg.alpha / 2.0, cfg.eps)
-    half = xi.xi * c.value / math.sqrt(cfg.k)
+    half = xi * c.value / math.sqrt(cfg.k)
     if not math.isfinite(half):
-        raise DomainError(f"xi={xi.xi:g} is too large: the band half-width xi * c / sqrt(k) overflows")
-    zeros = np.zeros(len(base))
+        raise DomainError(f"xi={xi:g} is too large: the band half-width xi * c / sqrt(k) overflows")
+    zeros = np.zeros(len(plot))
     return ConfidenceBand(
-        base=base,
+        base=plot,
         dx_lo=zeros,
         dx_hi=zeros,
         dy_lo=zeros - half,
         dy_hi=zeros + half,
         level=1.0 - cfg.alpha,
         regime=REGIME_QQ,
-        quantiles_used={"c": c, "xi_hat": xi.xi},
+        quantiles_used={"c": c, "xi_hat": xi},
     )
 
 
@@ -146,39 +144,38 @@ def _refuse_me_shape(s: float) -> None:
 
 def me_band(
     sample: OrderedSample,
+    plot: PlotSet,
     cfg: PlotConfig,
-    xi: TailIndexEstimate,
+    xi: float,
     bridge_quantiles: tuple[QuantileEstimate, QuantileEstimate | None],
     tilde: list[QuantileEstimate] | None = None,
 ) -> ConfidenceBand:
-    """(1 - alpha) confidence band around the truncated ME plot.
+    """(1 - alpha) confidence band around `plot`, the truncated ME plot of sample.
 
     bridge_quantiles is the (c, d) pair of bridge-functional quantiles at
     level 1 - alpha/2, as limitsim.bridge_quantiles returns it.  Regime
-    selection by the supplied estimate: xi_hat < 1/2 uses symmetric c/d
-    rectangles; 1/2 < xi_hat < 1 uses c for the horizontal half-width (d may
+    selection by the supplied shape: xi < 1/2 uses symmetric c/d
+    rectangles; 1/2 < xi < 1 uses c for the horizontal half-width (d may
     be None) and the skewed sum-over-max quantiles tilde, at levels
-    alpha/2 and 1 - alpha/2, scaled per point (me_bands finds those of all
-    its bands in one search).
+    alpha/2 and 1 - alpha/2, scaled per point (build_bands finds those of
+    all its bands in one search).
     """
-    s = xi.xi
-    _refuse_me_shape(s)
-    base = me_set(sample, cfg)
+    _refuse_me_shape(xi)
     sqrt_k = math.sqrt(cfg.k)
     level = 1.0 - cfg.alpha
     c, d = bridge_quantiles
-    half_x = np.full(len(base), c.value / sqrt_k)
-    if s < 0.5:
-        half_y = np.full(len(base), d.value / sqrt_k)
+    half_x = np.full(len(plot), c.value / sqrt_k)
+    if xi < 0.5:
+        half_y = np.full(len(plot), d.value / sqrt_k)
         return ConfidenceBand(
-            base=base,
+            base=plot,
             dx_lo=-half_x,
             dx_hi=half_x,
             dy_lo=-half_y,
             dy_hi=half_y,
             level=level,
             regime=REGIME_ME_LT_HALF,
-            quantiles_used={"c": c, "d": d, "xi_hat": s},
+            quantiles_used={"c": c, "d": d, "xi_hat": xi},
         )
     # heavy regime: 1/2 < xi_hat < 1
     if level >= 0.99:
@@ -191,51 +188,48 @@ def me_band(
         raise DomainError("sum-over-max quantiles must be ordered")
     x_1 = sample.values[0]
     x_k = sample.values[cfg.k - 1]
-    j = base.indices.astype(float)
+    j = plot.indices.astype(float)
     scale = x_1 / (j * x_k)
     return ConfidenceBand(
-        base=base,
+        base=plot,
         dx_lo=-half_x,
         dx_hi=half_x,
         dy_lo=scale * q_lo.value,
         dy_hi=scale * q_hi.value,
         level=level,
         regime=REGIME_ME_GT_HALF,
-        quantiles_used={"c": c, "tilde_lo": q_lo, "tilde_hi": q_hi, "xi_hat": s},
+        quantiles_used={"c": c, "tilde_lo": q_lo, "tilde_hi": q_hi, "xi_hat": xi},
     )
 
 
-def me_bands(
+def build_bands(
     sample: OrderedSample,
+    plot: PlotSet,
     cfg: PlotConfig,
-    xi: TailIndexEstimate,
+    xi: float,
     alphas,
-    rng: RngStream,
-    n_paths: int = DEFAULT_PATHS,
-    grid_m: int = DEFAULT_GRID,
-    threads: int = 1,
+    bridge,
 ) -> list[ConfidenceBand]:
-    """One ME band per miss probability in alphas (cfg.alpha is not used).
+    """One band around plot, the QQ or ME plot of sample, per miss
+    probability in alphas (cfg.alpha is not used); every band shares plot.
 
-    The shape is checked first.  In the heavy regime one limit_quantile
-    search then finds the sum-over-max quantiles of every band, so a level
-    it cannot resolve is refused before any path is drawn.  Then one bridge
-    path set gives the quantiles at every level 1 - alpha/2, with the
-    d-functional only in the xi_hat < 1/2 regime that uses it.
+    An ME band's shape is checked first.  In the heavy regime one
+    limit_quantile search then finds the sum-over-max quantiles of every
+    band, so a level it cannot resolve is refused before any path is drawn.
+    bridge(levels) then returns the (c, d) pair at each level 1 - alpha/2.
     """
-    _refuse_me_shape(xi.xi)
     band_cfgs = [PlotConfig(cfg.k, cfg.eps, a) for a in alphas]
+    if plot.kind == QQ:
+        return [qq_band(plot, band_cfg, xi) for band_cfg in band_cfgs]
+    _refuse_me_shape(xi)
     tildes = [None] * len(band_cfgs)
-    if xi.xi > 0.5:
-        spec = StableSpec(alpha=1.0 / xi.xi, skew=1.0, kind=SUM_OVER_MAX)
+    if xi > 0.5:
+        spec = StableSpec(alpha=1.0 / xi, skew=1.0, kind=SUM_OVER_MAX)
         found = limit_quantile(spec, [p for a in alphas for p in (a / 2.0, 1.0 - a / 2.0)])
         tildes = [found[2 * i : 2 * i + 2] for i in range(len(band_cfgs))]
-    levels = [1.0 - band_cfg.alpha / 2.0 for band_cfg in band_cfgs]
-    quantiles = bridge_quantiles(
-        xi.xi, cfg.eps, levels, n_paths, grid_m, rng, threads, integral=xi.xi < 0.5
-    )
+    quantiles = bridge([1.0 - band_cfg.alpha / 2.0 for band_cfg in band_cfgs])
     return [
-        me_band(sample, band_cfg, xi, q, tilde)
+        me_band(sample, plot, band_cfg, xi, q, tilde)
         for band_cfg, q, tilde in zip(band_cfgs, quantiles, tildes)
     ]
 
@@ -262,6 +256,30 @@ class CoverageDistribution:
         if self.name == "pareto":
             return sample_pareto(self.xi, n, rng)
         return sample_gpd(GpdParams(self.xi, self.beta), n, rng)
+
+
+def _pchip(x: np.ndarray, y: np.ndarray, at: float) -> float:
+    """The monotone cubic through the knots (x, y), x ascending, at
+    x[0] <= at <= x[-1]: bit for bit scipy's PchipInterpolator(x, y)(at).
+    Inner knot slopes are weighted harmonic means of the secants (0 where
+    these differ in sign or vanish), end slopes three-point estimates kept
+    monotone."""
+    h = np.diff(x)
+    m = np.diff(y) / h
+    d = np.full(len(x), m[0])  # two knots: the line through them
+    if len(x) > 2:
+        w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+        inner = (np.sign(m[1:]) == np.sign(m[:-1])) & (m[1:] != 0) & (m[:-1] != 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d[1:-1] = np.where(inner, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)), 0.0)
+        h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], m[[0, -1]], m[[1, -2]]
+        e = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        overshoot = (np.sign(m0) != np.sign(m1)) & (np.abs(e) > 3.0 * np.abs(m0))
+        d[[0, -1]] = np.where(np.sign(e) != np.sign(m0), 0.0, np.where(overshoot, 3.0 * m0, e))
+    i = min(int(np.searchsorted(x, at, side="right")) - 1, len(x) - 2)
+    t = (d[i] + d[i + 1] - 2 * m[i]) / h[i]
+    s = at - x[i]  # PPoly's power sum, lowest power first
+    return float(y[i] + d[i] * s + ((m[i] - d[i]) / h[i] - t) * (s * s) + t / h[i] * (s * s * s))
 
 
 @dataclass(frozen=True)
@@ -319,10 +337,8 @@ class BandQuantileTable:
     def lookup(self, xi: float) -> tuple[QuantileEstimate, QuantileEstimate]:
         if not (self.xis[0] <= xi <= self.xis[-1]):
             raise DomainError(f"xi={xi:.4f} outside tabulated range [{self.xis[0]}, {self.xis[-1]}]")
-        from scipy.interpolate import PchipInterpolator
-
-        c = float(PchipInterpolator(self.xis, self.c_values)(xi))
-        d = float(PchipInterpolator(self.xis, self.d_values)(xi))
+        c = _pchip(self.xis, self.c_values, xi)
+        d = _pchip(self.xis, self.d_values, xi)
         mk = lambda v, err: QuantileEstimate(
             value=v,
             level=self.level,
@@ -386,16 +402,13 @@ def coverage_experiment(
             grid_m=grid_m,
             threads=threads,
         )
+    slope = dist.xi if plot == QQ else dist.xi / (1.0 - dist.xi)
     for rep in range(replications):
         rep_rng = rng.child(rep)
         sample = dist.sample(n, rep_rng)
-        xi_hat = hill_estimate(sample, cfg.k)
-        if plot == QQ:
-            band = qq_band(sample, cfg, xi_hat)
-            hits[rep] = band.contains_line(dist.xi)
-        else:
-            band = me_band(sample, cfg, xi_hat, bridge_quantiles=table.lookup(xi_hat.xi))
-            model_x = (band.base.indices / cfg.k) ** (-dist.xi)
-            slope = dist.xi / (1.0 - dist.xi)
-            hits[rep] = band.contains_line(slope, model_x=model_x)
+        xi_hat = hill_estimate(sample, cfg.k).xi
+        base = qq_set(sample, cfg) if plot == QQ else me_set(sample, cfg)
+        [band] = build_bands(sample, base, cfg, xi_hat, [cfg.alpha], lambda _: [table.lookup(xi_hat)])
+        model_x = None if plot == QQ else (base.indices / cfg.k) ** (-dist.xi)
+        hits[rep] = band.contains_line(slope, model_x=model_x)
     return CoverageResult(hits=tuple(hits.tolist()), replications=replications)

@@ -25,7 +25,7 @@ import warnings
 from pathlib import Path
 
 from . import __version__
-from .bands import CoverageDistribution, coverage_experiment, me_bands, qq_band
+from .bands import CoverageDistribution, build_bands, coverage_experiment
 from .data import FIXED, TailIndexEstimate, fixed_xi, hill_estimate, ingest, write_sample_file
 from .distributions import (
     SIMULATION,
@@ -252,10 +252,9 @@ def cmd_analyze(args: argparse.Namespace, argv: list[str]) -> int:
     }
     if args.band:
         alphas = sorted(MULTI_ALPHAS if args.multi_alpha else (cfg.alpha,))
-        if args.plot == QQ:
-            bands = [qq_band(sample, PlotConfig(cfg.k, cfg.eps, a), xi_est) for a in alphas]
-        else:
-            bands = me_bands(sample, cfg, xi_est, alphas, stream, args.paths, args.grid, args.threads)
+        bands = build_bands(sample, plot, cfg, xi_est.xi, alphas, lambda levels: bridge_quantiles(
+            xi_est.xi, cfg.eps, levels, args.paths, args.grid, stream, args.threads, integral=xi_est.xi < 0.5
+        ))
         primary = next(b for b in bands if abs((1.0 - b.level) - cfg.alpha) < 1e-12)
         meta["band_levels"] = [b.level for b in bands]
         meta["quantiles"] = {k: _quantile_payload(v) for k, v in primary.quantiles_used.items()}

@@ -241,22 +241,6 @@ def _svg_pieces(
     yield "</svg>\n"
 
 
-def render_plot_svg(
-    plot: PlotSet,
-    bands: Sequence[ConfidenceBand] = (),
-    reference_slope: float | None = None,
-    title: str = "",
-) -> str:
-    """Deterministic SVG: shaded band(s), the plotted points, reference line.
-
-    Bands are drawn as the polygon between the per-point vertical interval
-    edges (horizontal offsets are carried in the CSV, not the shading).
-    Multiple bands should be passed widest first so narrower ones draw on top.
-    The text is joined from the pieces that `write_plot_svg` streams.
-    """
-    return "".join(_svg_pieces(plot, bands, reference_slope, title))
-
-
 def write_plot_svg(
     path: str | Path,
     plot: PlotSet,
@@ -264,5 +248,11 @@ def write_plot_svg(
     reference_slope: float | None = None,
     title: str = "",
 ) -> None:
-    """Write `render_plot_svg`'s text a piece at a time."""
+    """Write a deterministic SVG: shaded band(s), the plotted points, reference line.
+
+    Bands are drawn as the polygon between the per-point vertical interval
+    edges (horizontal offsets are carried in the CSV, not the shading).
+    Multiple bands should be passed widest first so narrower ones draw on top.
+    The text is written a piece at a time.
+    """
     _write_text(path, _svg_pieces(plot, bands, reference_slope, title))

@@ -75,7 +75,7 @@ class PlotConfig:
 
 @dataclass(frozen=True)
 class PlotSet:
-    """A finite plot: points, kind, config, and the constants used to scale it.
+    """A finite plot: points, kind, and the constants used to scale it.
 
     `indices` records the order-statistic index behind each point (j for QQ,
     i for ME), which band assembly and coverage checks rely on.
@@ -83,7 +83,6 @@ class PlotSet:
 
     points: np.ndarray
     kind: str
-    config: PlotConfig | None = None
     normalizers: dict = field(default_factory=dict)
     indices: np.ndarray | None = None
 
@@ -173,9 +172,7 @@ def qq_set(sample: OrderedSample, cfg: PlotConfig) -> PlotSet:
     j = _qq_indices(cfg)
     xs = -np.log(j / cfg.k) + 0.0  # + 0.0 turns -log(1) = -0.0 into +0.0
     ys = np.log(sample.values[j - 1] / x_k) + 0.0
-    return PlotSet(
-        np.column_stack([xs, ys]), QQ, cfg, normalizers={"x_k": float(x_k)}, indices=j
-    )
+    return PlotSet(np.column_stack([xs, ys]), QQ, normalizers={"x_k": float(x_k)}, indices=j)
 
 
 def qq_normalized_set(sample: OrderedSample, cfg: PlotConfig, xi: TailIndexEstimate) -> PlotSet:
@@ -201,7 +198,6 @@ def qq_normalized_set(sample: OrderedSample, cfg: PlotConfig, xi: TailIndexEstim
     return PlotSet(
         np.column_stack([xs, ys]),
         QQ_NORMALIZED,
-        cfg,
         normalizers={"x_k": float(x_k), "xi": xi.xi},
         indices=j,
     )
@@ -232,9 +228,7 @@ def me_set(sample: OrderedSample, cfg: PlotConfig) -> PlotSet:
     i = _me_indices(cfg)
     xs = sample.values[i - 1] / x_k
     ys = me_all[i - 2] / x_k
-    return PlotSet(
-        np.column_stack([xs, ys]), ME, cfg, normalizers={"x_k": float(x_k)}, indices=i
-    )
+    return PlotSet(np.column_stack([xs, ys]), ME, normalizers={"x_k": float(x_k)}, indices=i)
 
 
 def me_normalized_set(
@@ -283,7 +277,7 @@ def me_normalized_set(
         ys = model_y + scale * (me_vals / x_k - model_y)
         kind = ME_NORMALIZED_GT_HALF
         normalizers["vertical_scale"] = float(scale)
-    return PlotSet(np.column_stack([xs, ys]), kind, cfg, normalizers=normalizers, indices=i)
+    return PlotSet(np.column_stack([xs, ys]), kind, normalizers=normalizers, indices=i)
 
 
 # ---------------------------------------------------------------------------

@@ -9,26 +9,40 @@ from tailband.bands import (
     BandQuantileTable,
     ConfidenceBand,
     CoverageDistribution,
+    _pchip,
+    build_bands,
     coverage_experiment,
     me_band,
-    me_bands,
     qq_band,
 )
-from tailband.data import OrderedSample, fixed_xi, hill_estimate
+from tailband.data import OrderedSample, hill_estimate
 from tailband.distributions import SUM_OVER_MAX, StableSpec, limit_quantile, sample_pareto
 from tailband.errors import DomainError, MeanDoesNotExist, RegimeBoundary
 from tailband.limitsim import QuantileEstimate, bridge_functional_samples, bridge_quantiles, qq_sup_quantile
-from tailband.plotsets import PlotConfig, qq_set
+from tailband.plotsets import PlotConfig, me_set, qq_set
 from tailband.rng import RngStream
+
+
+def _paths(xi, eps, rng, n_paths, grid_m):
+    """The bridge analyze passes to build_bands: one path set for every level."""
+    return lambda levels: bridge_quantiles(xi, eps, levels, n_paths, grid_m, rng, integral=xi < 0.5)
+
+
+def _no_paths(levels):
+    raise AssertionError(f"bridge paths drawn for levels {levels}")
 
 
 # ---------------------------------------------------------------------------
 # QQ bands
 # ---------------------------------------------------------------------------
 
+def _qq(s, k, eps, alpha, xi):
+    return qq_band(qq_set(s, PlotConfig(k, eps)), PlotConfig(k, eps, alpha), xi)
+
+
 def test_qq_band_contains_base_plot():
     s = sample_pareto(0.25, 3000, RngStream(1))
-    band = qq_band(s, PlotConfig(400, 0.05, 0.05), hill_estimate(s, 400))
+    band = _qq(s, 400, 0.05, 0.05, hill_estimate(s, 400).xi)
     assert np.all(band.dy_lo < 0) and np.all(band.dy_hi > 0)
     assert np.all(band.dx_lo == 0) and np.all(band.dx_hi == 0)
     assert band.regime == "qq"
@@ -37,20 +51,18 @@ def test_qq_band_contains_base_plot():
 
 def test_qq_band_width_formula_and_k_scaling():
     s = sample_pareto(0.25, 9000, RngStream(2))
-    xi = fixed_xi(0.3)
     c = qq_sup_quantile(1 - 0.05 / 2, 0.05).value
-    band1 = qq_band(s, PlotConfig(500, 0.05, 0.05), xi)
+    band1 = _qq(s, 500, 0.05, 0.05, 0.3)
     assert band1.dy_hi[0] == pytest.approx(0.3 * c / math.sqrt(500), rel=1e-12)
-    band2 = qq_band(s, PlotConfig(1000, 0.05, 0.05), xi)
+    band2 = _qq(s, 1000, 0.05, 0.05, 0.3)
     assert band1.dy_hi[0] / band2.dy_hi[0] == pytest.approx(math.sqrt(2.0), rel=1e-12)
 
 
 def test_qq_band_scale_invariance():
     s = sample_pareto(0.25, 2000, RngStream(3))
-    cfg = PlotConfig(300, 0.05, 0.05)
-    b1 = qq_band(s, cfg, hill_estimate(s, 300))
+    b1 = _qq(s, 300, 0.05, 0.05, hill_estimate(s, 300).xi)
     scaled = OrderedSample.from_data(13.0 * s.values)
-    b2 = qq_band(scaled, cfg, hill_estimate(scaled, 300))
+    b2 = _qq(scaled, 300, 0.05, 0.05, hill_estimate(scaled, 300).xi)
     assert np.allclose(b1.base.points, b2.base.points, atol=1e-12)
     assert np.allclose(b1.dy_hi, b2.dy_hi, rtol=1e-12)
 
@@ -58,14 +70,29 @@ def test_qq_band_scale_invariance():
 def test_qq_band_rejects_nonpositive_shape():
     s = sample_pareto(0.25, 2000, RngStream(3))
     with pytest.raises(DomainError):
-        qq_band(s, PlotConfig(300, 0.05, 0.05), fixed_xi(-0.1))
+        _qq(s, 300, 0.05, 0.05, -0.1)
+    plot = qq_set(s, PlotConfig(300, 0.05))
+    with pytest.raises(DomainError, match="QQ band needs xi > 0"):
+        build_bands(s, plot, PlotConfig(300, 0.05), -0.1, [0.05], _no_paths)
 
 
 def test_qq_band_contains_line_helper():
     s = sample_pareto(0.25, 5000, RngStream(4))
-    band = qq_band(s, PlotConfig(500, 0.05, 0.05), hill_estimate(s, 500))
+    band = _qq(s, 500, 0.05, 0.05, hill_estimate(s, 500).xi)
     assert band.contains_line(0.25)          # typical draw covers the truth
     assert not band.contains_line(0.6)       # grossly wrong slope excluded
+
+
+def test_qq_bands_share_the_plot_and_draw_no_paths():
+    s = sample_pareto(0.25, 3000, RngStream(1))
+    cfg = PlotConfig(400, 0.05)
+    plot = qq_set(s, cfg)
+    found = build_bands(s, plot, cfg, 0.25, [0.01, 0.05, 0.10], _no_paths)
+    assert [b.level for b in found] == [0.99, 0.95, 0.9]
+    assert all(b.base is plot for b in found)
+    for band, alpha in zip(found, (0.01, 0.05, 0.10)):
+        alone = qq_band(plot, PlotConfig(400, 0.05, alpha), 0.25)
+        assert alone.dy_hi.tolist() == band.dy_hi.tolist() and alone.quantiles_used == band.quantiles_used
 
 
 # ---------------------------------------------------------------------------
@@ -74,9 +101,11 @@ def test_qq_band_contains_line_helper():
 
 def test_me_band_light_regime_shape():
     s = sample_pareto(0.25, 4000, RngStream(5))
-    [band] = me_bands(
-        s, PlotConfig(500, 0.1, 0.05), hill_estimate(s, 500), [0.05], RngStream(6), n_paths=2000, grid_m=1024
-    )
+    cfg = PlotConfig(500, 0.1, 0.05)
+    plot = me_set(s, cfg)
+    xi = hill_estimate(s, 500).xi
+    [band] = build_bands(s, plot, cfg, xi, [0.05], _paths(xi, 0.1, RngStream(6), 2000, 1024))
+    assert band.base is plot
     assert band.regime == "me-lt-half"
     assert np.all(band.dx_hi == -band.dx_lo)
     assert np.all(band.dy_hi == -band.dy_lo)
@@ -85,22 +114,23 @@ def test_me_band_light_regime_shape():
 
 def test_me_band_determinism():
     s = sample_pareto(0.25, 4000, RngStream(5))
-    args = dict(rng=RngStream(6), n_paths=2000, grid_m=1024)
-    [b1] = me_bands(s, PlotConfig(500, 0.1, 0.05), fixed_xi(0.25), [0.05], **args)
-    [b2] = me_bands(s, PlotConfig(500, 0.1, 0.05), fixed_xi(0.25), [0.05], **args)
+    cfg = PlotConfig(500, 0.1, 0.05)
+    bridge = _paths(0.25, 0.1, RngStream(6), 2000, 1024)
+    [b1] = build_bands(s, me_set(s, cfg), cfg, 0.25, [0.05], bridge)
+    [b2] = build_bands(s, me_set(s, cfg), cfg, 0.25, [0.05], bridge)
     assert b1.dy_hi.tolist() == b2.dy_hi.tolist()
 
 
 def test_me_band_nesting_same_paths():
     s = sample_pareto(0.25, 4000, RngStream(5))
-    xi = fixed_xi(0.25)
+    plot = me_set(s, PlotConfig(500, 0.1))
     c_samp, d_samp = bridge_functional_samples([0.25], 0.1, 2000, 1024, RngStream(6))
     bands = {}
     for alpha in (0.01, 0.05):
         level = 1 - alpha / 2
         mk = lambda arr: QuantileEstimate.from_samples(arr, level, grid_m=1024)
         bands[alpha] = me_band(
-            s, PlotConfig(500, 0.1, alpha), xi, bridge_quantiles=(mk(c_samp[0]), mk(d_samp[0]))
+            s, plot, PlotConfig(500, 0.1, alpha), 0.25, bridge_quantiles=(mk(c_samp[0]), mk(d_samp[0]))
         )
     assert np.all(bands[0.01].dy_hi >= bands[0.05].dy_hi)
     assert np.all(bands[0.01].dy_lo <= bands[0.05].dy_lo)
@@ -109,7 +139,7 @@ def test_me_band_nesting_same_paths():
 def test_me_band_heavy_regime():
     s = sample_pareto(0.7, 20_000, RngStream(7))
     cfg = PlotConfig(1000, 0.1, 0.05)
-    [band] = me_bands(s, cfg, fixed_xi(0.7), [cfg.alpha], RngStream(8), n_paths=2000, grid_m=1024)
+    [band] = build_bands(s, me_set(s, cfg), cfg, 0.7, [cfg.alpha], _paths(0.7, 0.1, RngStream(8), 2000, 1024))
     assert band.regime == "me-gt-half"
     # vertical interval shrinks like 1/j along the plot
     j = band.base.indices.astype(float)
@@ -128,10 +158,15 @@ def test_me_bands_heavy_regime_runs_one_quantile_search(monkeypatch):
     )
     s = sample_pareto(0.7, 20_000, RngStream(7))
     cfg = PlotConfig(1000, 0.1, 0.05)
+    plot = me_set(s, cfg)
     alphas = [0.01, 0.05, 0.10]
+    drawn = []
+    paths = _paths(0.7, 0.1, RngStream(8), 1000, 1024)
     with pytest.warns(UserWarning):  # the 99% band
-        found = me_bands(s, cfg, fixed_xi(0.7), alphas, RngStream(8), n_paths=1000, grid_m=1024)
+        found = build_bands(s, plot, cfg, 0.7, alphas, lambda levels: drawn.append(levels) or paths(levels))
     assert searches == [[0.005, 0.995, 0.025, 0.975, 0.05, 0.95]]
+    assert drawn == [[0.995, 0.975, 0.95]]  # one path set for every level
+    assert all(b.base is plot for b in found)
     # each band as me_band builds it from a search of its own
     spec = StableSpec(alpha=1.0 / 0.7, skew=1.0, kind=SUM_OVER_MAX)
     for band, alpha in zip(found, alphas):
@@ -139,7 +174,7 @@ def test_me_bands_heavy_regime_runs_one_quantile_search(monkeypatch):
         tilde = limit_quantile(spec, [alpha / 2, 1 - alpha / 2])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
-            alone = me_band(s, PlotConfig(1000, 0.1, alpha), fixed_xi(0.7), (c, None), tilde)
+            alone = me_band(s, plot, PlotConfig(1000, 0.1, alpha), 0.7, (c, None), tilde)
         assert alone.quantiles_used == band.quantiles_used
         assert alone.dy_lo.tolist() == band.dy_lo.tolist() and alone.dy_hi.tolist() == band.dy_hi.tolist()
 
@@ -148,20 +183,22 @@ def test_me_band_heavy_regime_99_warns():
     s = sample_pareto(0.7, 5000, RngStream(9))
     cfg = PlotConfig(500, 0.1, 0.01)
     with pytest.warns(UserWarning):
-        me_bands(s, cfg, fixed_xi(0.7), [cfg.alpha], RngStream(10), n_paths=1000, grid_m=1024)
+        build_bands(s, me_set(s, cfg), cfg, 0.7, [cfg.alpha], _paths(0.7, 0.1, RngStream(10), 1000, 1024))
 
 
 def test_me_band_regime_refusals():
     s = sample_pareto(0.25, 1000, RngStream(11))
     cfg = PlotConfig(200, 0.1, 0.05)
+    plot = me_set(s, cfg)
+    # each refused before a path is drawn
     with pytest.raises(RegimeBoundary):
-        me_bands(s, cfg, fixed_xi(0.5), [cfg.alpha], RngStream(0))
+        build_bands(s, plot, cfg, 0.5, [cfg.alpha], _no_paths)
     with pytest.raises(RegimeBoundary):
-        me_bands(s, cfg, fixed_xi(0.49), [cfg.alpha], RngStream(0))
+        build_bands(s, plot, cfg, 0.49, [cfg.alpha], _no_paths)
     with pytest.raises(MeanDoesNotExist, match="no ME band for xi>=1"):
-        me_bands(s, cfg, fixed_xi(1.2), [cfg.alpha], RngStream(0))
+        build_bands(s, plot, cfg, 1.2, [cfg.alpha], _no_paths)
     with pytest.raises(DomainError):
-        me_bands(s, cfg, fixed_xi(-0.2), [cfg.alpha], RngStream(0))
+        build_bands(s, plot, cfg, -0.2, [cfg.alpha], _no_paths)
 
 
 def test_confidence_band_validation():
@@ -227,6 +264,25 @@ def test_band_quantile_table_interpolates():
     assert c_mid.value == pytest.approx(c_exact.value, rel=0.02)
     with pytest.raises(DomainError):
         table.lookup(0.5)
+
+
+def test_pchip_matches_scipy_bit_for_bit():
+    from scipy.interpolate import PchipInterpolator
+
+    rng = np.random.default_rng(23)
+    for trial in range(120):
+        k = int(rng.integers(2, 45))
+        x = np.cumsum(rng.uniform(0.001, 0.1, k)) + 0.02
+        y = [
+            rng.normal(size=k),                      # slopes of both signs
+            np.cumsum(rng.exponential(size=k)),      # increasing, as quantiles in xi are
+            np.round(rng.normal(size=k), 1),         # flat stretches: zero secants
+            np.sqrt(x) + rng.normal(scale=1e-3, size=k),
+        ][trial % 4]
+        at = np.concatenate([x, rng.uniform(x[0], x[-1], 40)])  # the knots as well
+        expected = PchipInterpolator(x, y)(at)
+        found = np.array([_pchip(x, y, float(a)) for a in at])
+        assert found.tobytes() == expected.tobytes(), trial
 
 
 @pytest.mark.parametrize(

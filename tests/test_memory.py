@@ -9,7 +9,7 @@ import pytest
 from tailband.bands import REGIME_QQ, ConfidenceBand
 from tailband.data import ingest, write_sample_file
 from tailband.outputs import write_band_csv, write_plot_csv, write_plot_svg
-from tailband.plotsets import PlotConfig, PlotSet
+from tailband.plotsets import PlotSet
 
 
 def _traced_peak(call) -> tuple[int, object]:
@@ -38,7 +38,7 @@ def test_ingest_peak_is_near_the_values(tmp_path):
 
 def _band(rows: int) -> ConfidenceBand:
     x = np.linspace(0.0, 5.0, rows)
-    plot = PlotSet(np.column_stack([x, 0.3 * x + np.sin(x)]), "qq", PlotConfig(rows, 0.05))
+    plot = PlotSet(np.column_stack([x, 0.3 * x + np.sin(x)]), "qq")
     half = np.full(rows, 0.125)
     return ConfidenceBand(plot, np.zeros(rows), np.zeros(rows), -half, half, 0.95, REGIME_QQ)
 

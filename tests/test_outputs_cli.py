@@ -9,10 +9,10 @@ import pytest
 from tailband import outputs
 from tailband.bands import qq_band
 from tailband.cli import _CACHE_HEADER, _CACHE_NUMERICS, main
-from tailband.data import OrderedSample, fixed_xi, ingest, write_sample_file
+from tailband.data import OrderedSample, ingest, write_sample_file
 from tailband.distributions import sample_pareto
 from tailband.limitsim import qq_sup_quantile
-from tailband.outputs import file_sha256, render_plot_svg, write_band_csv, write_csv, write_plot_csv
+from tailband.outputs import file_sha256, write_band_csv, write_csv, write_plot_csv, write_plot_svg
 from tailband.plotsets import PlotConfig, PlotSet, qq_set
 from tailband.rng import RngStream
 
@@ -43,11 +43,17 @@ def test_write_csv_deterministic(tmp_path):
     assert p.read_text() == "x,y\n0.1,0.2\n1e-05,3.0\n"
 
 
-def test_svg_renderer_deterministic():
+def _svg_text(path, plot, bands=(), reference_slope=None, title=""):
+    """The text write_plot_svg writes to path."""
+    write_plot_svg(path, plot, bands, reference_slope, title)
+    return path.read_text(encoding="utf-8")
+
+
+def test_svg_renderer_deterministic(tmp_path):
     x = np.linspace(0, 1, 20)
-    plot = PlotSet(np.column_stack([x, 2 * x]), "qq", PlotConfig(10, 0.05))
-    a = render_plot_svg(plot, reference_slope=2.0, title="demo")
-    b = render_plot_svg(plot, reference_slope=2.0, title="demo")
+    plot = PlotSet(np.column_stack([x, 2 * x]), "qq")
+    a = _svg_text(tmp_path / "a.svg", plot, reference_slope=2.0, title="demo")
+    b = _svg_text(tmp_path / "b.svg", plot, reference_slope=2.0, title="demo")
     assert a == b
     assert "date" not in a.lower() and "time" not in a.lower()
 
@@ -76,7 +82,7 @@ def _fmt9(v):
 
 def _per_point_svg(plot, bands=(), reference_slope=None, title="", coord=_fmt9):
     """The SVG renderer with one scalar sx/sy call and one format per point:
-    the reference for render_plot_svg.  `coord` formats a polygon or polyline
+    the reference for write_plot_svg.  `coord` formats a polygon or polyline
     coordinate (9 significant digits in the file)."""
     width, height = 860.0, 620.0
     margin_l, margin_r, margin_t, margin_b = 70.0, 20.0, 30.0, 50.0
@@ -162,8 +168,8 @@ _EDGE_FLOATS = np.array([-0.0, 5e-324, 1e-300, 1e308, 3.0, -7.0, 2.0**53, 1e16, 
 
 def _qq_bands():
     s = sample_pareto(0.25, 3000, RngStream(11))
-    xi = fixed_xi(0.25)
-    return [qq_band(s, PlotConfig(400, 0.05, alpha), xi) for alpha in (0.01, 0.05)]
+    plot = qq_set(s, PlotConfig(400, 0.05))
+    return [qq_band(plot, PlotConfig(400, 0.05, alpha), 0.25) for alpha in (0.01, 0.05)]
 
 
 def test_csv_writer_matches_per_value_writer(tmp_path):
@@ -187,22 +193,24 @@ def test_csv_writer_matches_per_value_writer(tmp_path):
     assert (tmp_path / "plot.csv").read_bytes() == _per_value_csv(["x", "y"], band.base.points).encode()
 
 
-def test_svg_renderer_matches_per_point_renderer(monkeypatch):
+def test_svg_renderer_matches_per_point_renderer(monkeypatch, tmp_path):
     bands = _qq_bands()
     # a QQ plot's x increases strictly: drop 1e308 (the frame would overflow) and +0.0
     edge = _EDGE_FLOATS[(np.abs(_EDGE_FLOATS) < 1e300) & (np.signbit(_EDGE_FLOATS) | (_EDGE_FLOATS != 0))]
     cases = [
         (bands[0].base, bands, 0.25, "qq"),  # two band polygons, widest first
-        (PlotSet(np.column_stack([np.sort(edge), edge]), "qq", PlotConfig(10, 0.05)), (), -2.0, ""),
-        (PlotSet(np.array([[5e-324, -0.0]]), "qq", PlotConfig(10, 0.05)), (), None, ""),  # one point
+        (PlotSet(np.column_stack([np.sort(edge), edge]), "qq"), (), -2.0, ""),
+        (PlotSet(np.array([[5e-324, -0.0]]), "qq"), (), None, ""),  # one point
     ]
     for plot, case_bands, slope, title in cases:
-        assert render_plot_svg(plot, case_bands, slope, title) == _per_point_svg(plot, case_bands, slope, title)
+        assert _svg_text(tmp_path / "p.svg", plot, case_bands, slope, title) == _per_point_svg(
+            plot, case_bands, slope, title
+        )
     # the file keeps 9 digits, which hide a last-bit change in a pixel
     # coordinate: compare the coordinates at full precision as well
     monkeypatch.setattr(outputs, "_POINT_FMT", "{!r},{!r}")
     for plot, case_bands, slope, title in cases:
-        new = render_plot_svg(plot, case_bands, slope, title)
+        new = _svg_text(tmp_path / "p.svg", plot, case_bands, slope, title)
         assert new == _per_point_svg(plot, case_bands, slope, title, coord=lambda v: repr(float(v)))
 
 
@@ -681,6 +689,13 @@ def test_heavy_me_analyze_and_stilde_load_no_scipy(tmp_path):
     assert _stdout_then_loaded(argv, tmp_path)[-1] == "[]"  # after the quantile's JSON
 
 
+def test_me_coverage_loads_no_scipy(tmp_path):
+    argv = ["coverage", "--plot", "me", "--xi", 0.25, "--n", 2000, "--k", 200, "--eps", 0.1,
+            "--replications", 3, "--paths", 1000, "--grid", 1024, "--outdir", tmp_path / "o"]
+    assert _stdout_then_loaded(argv, tmp_path)[-1] == "[]"  # after the coverage's JSON
+    assert len(json.loads((tmp_path / "o" / "report.json").read_text())["per_replication"]) == 3
+
+
 def test_analyze_loads_no_multiprocessing(tmp_path):
     # Monte Carlo batches run on threads: neither the QQ band nor a heavy ME
     # band on two threads imports multiprocessing
@@ -733,6 +748,29 @@ def test_analyze_me_multi_alpha_draws_one_path_set(sample_file, tmp_path, engine
         assert len(engine_calls) == 1
         bands[name] = read(out / "band.csv")
     assert bands["multi"] == bands["single"]
+
+
+@pytest.mark.parametrize("plot, xi", [("qq", 0.25), ("me", 0.25), ("me", 0.7)])
+def test_analyze_builds_the_plot_once_for_every_band(sample_file, tmp_path, monkeypatch, plot, xi):
+    from tailband import bands, cli
+
+    built, drawn = [], []
+    for module in (cli, bands):
+        for name in ("qq_set", "me_set"):
+            make = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, make=make: built.append(make(*a)) or built[-1])
+    svg = cli.write_plot_svg
+    monkeypatch.setattr(
+        cli, "write_plot_svg", lambda path, base, found, **k: drawn.append((base, found)) or svg(path, base, found, **k)
+    )
+    code = run_cli(
+        "analyze", sample_file, "--plot", plot, "--k", 400, "--eps", 0.1, "--band", "--xi", xi, "--multi-alpha",
+        "--paths", 1000, "--grid", 1024, "--svg", "p.svg", "--outdir", tmp_path / "o",
+    )
+    assert code == 0
+    [(plotted, found)] = drawn
+    assert len(built) == 1 and built[0] is plotted and len(found) == 3
+    assert all(band.base is plotted for band in found)
 
 
 @pytest.mark.parametrize("xi, error", [(0.48, "RegimeBoundary"), (0.5, "RegimeBoundary"),

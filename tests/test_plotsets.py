@@ -205,7 +205,7 @@ def test_limit_set_constructors():
 def test_hausdorff_dense_points_on_line_near_zero():
     xi = 0.7
     x = np.linspace(0.0, 2.0, 4000)
-    plot = PlotSet(np.column_stack([x, xi * x]), "qq", PlotConfig(10, 0.01))
+    plot = PlotSet(np.column_stack([x, xi * x]), "qq")
     d = hausdorff_to_limit(plot, qq_limit_set(xi, math.exp(-2.0)))
     # floor: segment discretization (1000 points over length ~2.4)
     assert d < 2.5 * math.hypot(1, xi) / 1000
@@ -218,14 +218,14 @@ def test_hausdorff_single_offset_point():
     # displace one interior point perpendicular to the line by distance 0.3
     normal = np.array([-xi, 1.0]) / math.hypot(1, xi)
     pts[1000] = pts[1000] + 0.3 * normal
-    plot = PlotSet(pts[np.argsort(pts[:, 0])], "me", PlotConfig(10, 0.01))
+    plot = PlotSet(pts[np.argsort(pts[:, 0])], "me")
     d = hausdorff_to_limit(plot, qq_limit_set(xi, math.exp(-2.0)))
     assert d == pytest.approx(0.3, rel=0.01)
 
 
 def test_hausdorff_window_mismatch():
     x = np.linspace(0.0, 5.0, 100)
-    plot = PlotSet(np.column_stack([x, x]), "me", PlotConfig(10, 0.01))
+    plot = PlotSet(np.column_stack([x, x]), "me")
     with pytest.raises(WindowMismatch):
         hausdorff_to_limit(plot, LimitSet("me-line", 1.0, (0.0, 2.0)))
 

@@ -15,8 +15,6 @@ TEST_ONLY = {
         "the QQ plot's fluctuation process, checked against its limit law in test_fluctuation_laws",
     "plotsets.me_normalized_set":
         "the ME plot's fluctuation processes, checked against their limit laws in test_fluctuation_laws",
-    "outputs.render_plot_svg":
-        "the SVG's whole text, joined from the pieces write_plot_svg streams, which the renderer tests compare",
 }
 
 
@@ -66,12 +64,19 @@ def _read_names(tree: ast.Module) -> set[str]:
 def _read_attributes(tree: ast.Module) -> set[str]:
     """Attributes a module reads (obj.name) or spells as a whole string
     (getattr, object.__setattr__).  A bare name is not a member read: a
-    local variable of the same name would hide an unread member."""
+    local variable of the same name would hide an unread member.  Nor is
+    the key of a dict display: {"config": ...} reads no member config."""
+    keys = {id(key) for node in ast.walk(tree) if isinstance(node, ast.Dict) for key in node.keys}
     names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             names.add(node.attr)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+        elif (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and node.value.isidentifier()
+            and id(node) not in keys
+        ):
             names.add(node.value)
     return names
 
