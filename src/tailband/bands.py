@@ -11,9 +11,13 @@ Band recipes by regime:
   c / sqrt(k) and vertical half-width d / sqrt(k); c and d are Monte Carlo
   quantiles of the two bridge functionals.
 * ME with 1/2 < xi_hat < 1: the horizontal half-width is unchanged, while
-  the vertical interval at the point with order-statistic index j is the
-  equal-tailed quantile interval of the sum-over-max law scaled by
-  X_(1) / (j X_(k)) (asymmetric: that law is skewed).
+  the vertical interval at the point y_j with order-statistic index j is
+  [y_j - s_j q_hi, y_j - s_j q_lo], with s_j = X_(1) / (j X_(k)) and q_lo,
+  q_hi the alpha/2 and 1 - alpha/2 quantiles of the sum-over-max law S.
+  The fluctuation is y_j - m_j = s_j S around the model point m_j, so the
+  interval is the law's equal-tailed interval reflected through the point:
+  it contains m_j exactly when q_lo <= S <= q_hi.  It is asymmetric, and
+  reaches further above the point than below it (the law is skewed left).
 
 xi_hat in [0.48, 0.52] is refused (the boundary case has no usable limit),
 and xi_hat >= 1 is refused (the mean excess has no meaningful band).
@@ -194,8 +198,8 @@ def me_band(
         base=plot,
         dx_lo=-half_x,
         dx_hi=half_x,
-        dy_lo=scale * q_lo.value,
-        dy_hi=scale * q_hi.value,
+        dy_lo=-scale * q_hi.value,
+        dy_hi=-scale * q_lo.value,
         level=level,
         regime=REGIME_ME_GT_HALF,
         quantiles_used={"c": c, "tilde_lo": q_lo, "tilde_hi": q_hi, "xi_hat": xi},

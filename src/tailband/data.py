@@ -19,7 +19,6 @@ from pathlib import Path
 from typing import Iterable
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     BadK,
@@ -127,10 +126,14 @@ def _parse_float(token: str, line_number: int) -> float:
     return value
 
 
-# Characters per chunk read by `_texts`: big enough to amortise the read and
-# the decimal kernel's per-call overhead, small enough that the kernel's
-# (_WIDTH, lines) blocks stay below a megabyte (at 1 MiB they raised the
-# peak RSS of a 10**6-line run by 10 MB; 64 KiB was among the lowest).
+# Characters per chunk read by `_texts`.  Fresh-process `ingest` of the
+# 10**6-line `simulate` file of the QQ benchmark took 0.13 s of CPU at 64,
+# 128, 256 and 512 KiB alike (128 KiB won 16 of 30 alternating runs of the
+# whole command against 64 KiB), but the fewest minor page faults at 64 KiB:
+# 2,600 against 8,400 to 14,200, because the kernel's arrays for one chunk
+# (about 200 KB) then stay below the allocator's mmap and trim thresholds
+# and are reused from the heap.  Larger chunks also raise the peak of
+# `ingest` further above the values it returns.
 _CHUNK_CHARS = 1 << 16
 
 
@@ -253,48 +256,88 @@ def _parse_decimals(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     float(line) where `accepted` is true, and the offset in `text` of the
     line's newline.  Each line's last _WIDTH bytes are gathered
     right-aligned into the columns of a (_WIDTH, lines) uint8 block, so that
-    every step below works on whole rows: classify the bytes, count digits
-    and points, shift the digits left of the point one row down, and fold
-    the digit rows into M with uint8, uint16 and uint64 arithmetic.
+    every step below works on whole rows: blank the bytes outside the line,
+    count the points and the other non-digits, squeeze the point out by
+    moving the digits left of it one row down, and fold the digit rows into
+    M with uint8, uint16 and uint64 arithmetic.
+
+    At its peak the kernel holds about 57 bytes a line (3.2 bytes per byte
+    of `text` for shortest float reprs): the block, one (_WIDTH, lines) mask
+    reused for every test, and a few bytes a line.  Each step writes into an
+    array that is already there, and each array is dropped after its last
+    use.
     """
     w = _WIDTH
     padded = ("\n" * w + text + ("" if text.endswith("\n") else "\n")).encode("ascii")
     data = np.frombuffer(padded, dtype=np.uint8)
-    newlines = np.flatnonzero(data == 10)[w:]  # the padding's own newlines dropped
-    length = np.diff(newlines, prepend=w - 1) - 1
-    negative = data[newlines - length] == 45  # "-" first (an empty line reads its newline)
-    body = np.minimum(length - negative, w).astype(np.uint8)  # the characters after the sign
+    ends = np.flatnonzero(data[w:] == 10)  # offsets in text; the padding keeps windows in range
+    starts = np.empty_like(ends)
+    starts[0] = 0
+    np.add(ends[:-1], 1, out=starts[1:])
+    negative = data[w:][starts] == 45  # "-" first (an empty line reads its newline)
+    length = np.subtract(ends, starts, out=starts)
+    accepted = length <= w
+    length -= negative
+    body = np.minimum(length, w, out=length).astype(np.uint8)  # the characters after the sign
+    del starts, length
+    # Row s of `windows` holds the w bytes before text offset s, so the row
+    # at a line's newline holds the line's last w bytes.
+    windows = np.ndarray((data.size - w + 1, w), np.uint8, padded, strides=(1, 1))
+    lines = windows[ends]
+    del windows, data, padded
+    block = np.ascontiguousarray(lines.T)
+    del lines
 
-    block = np.ascontiguousarray(sliding_window_view(data, w)[newlines - w].T)
     block -= np.uint8(48)  # "0" -> 0, ..., "9" -> 9, "." -> 254
-    inside = _ROWS >= w - body
-    digit = block < 10
-    digit &= inside
-    point = block == 254
-    point &= inside
-    digits = np.add.reduce(digit, 0, dtype=np.uint8)
-    points = np.add.reduce(point, 0, dtype=np.uint8)
-    accepted = ((digits + points == body) & (points <= 1) & (digits > 0) & (digits <= 19)
-                & (length <= w))
-
-    row = np.add.reduce(point * _ROWS, 0, dtype=np.uint8)  # the point's row, 0 without one
-    block *= digit
+    mask = np.greater_equal(_ROWS, w - body)  # the line's body
+    marks = mask.view(np.uint8)  # the mask as 0 and 1, to multiply by
+    block *= marks
+    np.greater(block, 9, out=mask)
+    others = np.add.reduce(mask, 0, dtype=np.uint8)  # points and stray bytes
+    np.equal(block, 254, out=mask)
+    points = np.add.reduce(mask, 0, dtype=np.uint8)
+    accepted &= others == points
+    accepted &= points <= 1
+    digits = np.subtract(body, points, out=body)
+    digits -= np.uint8(1)  # 1..19 digits read 0..18, and none wraps to 255
+    accepted &= digits < 19
+    del others, body, digits
+    marks *= _ROWS
+    row = np.add.reduce(marks, 0, dtype=np.uint8)  # the point's row, 0 without one
+    np.not_equal(block, 254, out=mask)
+    block *= marks  # the point blanked
+    # block = I + F, the digits left (I) and right (F) of the point; the
+    # digit rows are F + I moved one row down
+    np.less(_ROWS, row, out=mask)
+    np.multiply(block, marks, out=marks)  # I
+    block -= marks  # F
     low = block[1:]  # rows 1..w-1, which hold every digit once the point is squeezed out
-    step = block[:-1] - low
-    step *= _ROWS[1:] <= row
-    low += step
-    pairs = low[0::2] * np.uint8(10) + low[1::2]
-    quads = pairs[0::2].astype(np.uint16) * np.uint16(100) + pairs[1::2]
+    low += marks[:-1]
+    del mask, marks
+
+    pairs = low[0::2]
+    pairs *= np.uint8(10)
+    pairs += low[1::2]
+    quads = pairs[0::2].astype(np.uint16)
+    quads *= np.uint16(100)
+    quads += pairs[1::2]
+    del block, low, pairs
     mantissa = quads[0].astype(np.uint64)
     for q in quads[1:]:
         mantissa *= np.uint64(10_000)
         mantissa += q
-    scale = np.where(accepted & (points > 0), w - 1 - row, 0)
-    quotient = mantissa.astype(np.longdouble) / _POW10[scale]
+    del quads, q
+
+    scale = np.uint8(w - 1) - row
+    scale *= accepted & (points > 0)
+    del row, points
+    quotient = mantissa.astype(np.longdouble)
+    del mantissa
+    np.divide(quotient, _POW10[scale], out=quotient)
     accepted &= (quotient.view(np.uint64)[::2] & 0x7FF) != 0x400
     values = quotient.astype(np.float64)
     np.negative(values, out=values, where=negative)
-    return values, accepted, newlines - w
+    return values, accepted, ends
 
 
 def _parse_each(lines: list[str], line_numbers) -> tuple[np.ndarray, list[int]]:

@@ -29,7 +29,9 @@ reproducible bit-for-bit at any worker count.
 """
 from __future__ import annotations
 
+import functools
 import math
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -254,8 +256,12 @@ def bisect(root_is_above, lo, hi, xtol: float):
     return 0.5 * (lo + hi)
 
 
+@functools.lru_cache(maxsize=64)
 def qq_sup_quantile(level: float, eps: float) -> QuantileEstimate:
     """level-quantile of sup_{t >= delta} |W(t)|/t with delta = eps/(1-eps).
+
+    A pure function of (level, eps) with a frozen result, so it is cached:
+    a coverage run asks for the same quantile once per replication.
 
     Solves cone_exit_probability(M, delta) = 1 - level by bisection
     in x = M*sqrt(delta), which halves the bracket until it is at most
@@ -326,7 +332,9 @@ def check_bridge_resolution(eps: float, n_paths: int, m: int, integral: bool) ->
 
     eps must lie in (0, 1), its window [eps, 1] must hold at least two of
     the m grid columns, and the d-functional (integral=True) needs at least
-    1000 paths and grid points.  Every caller that reads quantiles off bridge paths checks this
+    1000 paths and grid points.  A grid whose per-thread path buffers would
+    not fit in the machine's physical memory is refused by name, before
+    anything is allocated.  Every caller that reads quantiles off bridge paths checks this
     first; bridge_functional_samples itself does not, so that tests may
     draw small path sets.
     """
@@ -341,6 +349,16 @@ def check_bridge_resolution(eps: float, n_paths: int, m: int, integral: bool) ->
         raise DomainError(
             f"the window [eps, 1] with eps={eps} holds {columns} of the grid={m} columns; "
             "need at least 2: lower eps or raise grid"
+        )
+    # what one _bridge_functional_worker holds: its row buffers, t and a weight row
+    need = ((2 + integral) * min(_BLOCK_ROWS, n_paths) + 2) * m * 8
+    try:
+        pages, page_size = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return  # the platform cannot tell its memory size
+    if pages > 0 and page_size > 0 and need > pages * page_size:
+        raise DomainError(
+            f"--grid {m} needs {need} bytes per thread, more than the {pages * page_size} bytes of physical memory"
         )
 
 

@@ -150,6 +150,30 @@ def test_me_band_heavy_regime():
     assert not np.allclose(-band.dy_lo, band.dy_hi)
 
 
+def test_me_band_heavy_regime_holds_the_model_point_exactly_when_the_law_does():
+    # ACCEPT 06 pins the fluctuation y_j - m_j = s_j S, s_j = X_(1)/(j X_(k)),
+    # around the model point m_j = xi/(1-xi) (j/k)^-xi.  The band at j must
+    # hold m_j exactly when S_j lies between the law's quantiles; the
+    # interval reflected through the point holds it in other cases.
+    xi, k, alpha = 0.7, 1000, 0.5  # a wide level, so that both outcomes occur
+    tilde = limit_quantile(StableSpec(alpha=1.0 / xi, skew=1.0, kind=SUM_OVER_MAX), [alpha / 2, 1 - alpha / 2])
+    c = QuantileEstimate(1.0, 1 - alpha / 2, "series")  # the horizontal half-width, not checked here
+    cfg = PlotConfig(k, 0.1, alpha)
+    outcomes = set()
+    for rep in range(5):
+        s = sample_pareto(xi, 20_000, RngStream(31, rep))
+        plot = me_set(s, cfg)
+        band = me_band(s, plot, cfg, xi, (c, None), tilde)
+        j = plot.indices.astype(float)
+        model = xi / (1.0 - xi) * (j / k) ** (-xi)
+        y = plot.points[:, 1]
+        law = (j * s.values[k - 1] / s.values[0]) * (y - model)
+        inside = (y + band.dy_lo <= model) & (model <= y + band.dy_hi)
+        assert inside.tolist() == ((tilde[0].value <= law) & (law <= tilde[1].value)).tolist(), rep
+        outcomes |= set(inside.tolist())
+    assert outcomes == {False, True}
+
+
 def test_me_bands_heavy_regime_runs_one_quantile_search(monkeypatch):
     searches = []
     search = bands_module.limit_quantile

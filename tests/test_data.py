@@ -371,6 +371,7 @@ def test_decimal_kernel_waits_after_mostly_rejected_chunks(tmp_path, monkeypatch
     # exponent lines and 11-15 hold only them.  The kernel reads chunk 0,
     # waits one chunk, reads 2, waits two, reads 5 to 10, waits one, reads
     # 12, waits two and reads 15.
+    monkeypatch.setattr(data_module, "_CHUNK_CHARS", 1 << 16)  # the chunk the line counts are built for
     lines = [b"1.25e+00\n"] * 30_000 + [b"2.5\n"] * 100_000 + [b"1.25e+00\n"] * 40_000
     bad_at = {None: None, "in-first-wait": 10_000, "after-kernel-resumes": 80_000,
               "in-second-wait": 151_000}[bad_line]

@@ -1,4 +1,5 @@
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -287,14 +288,42 @@ def test_window_start_matches_a_search_of_the_grid(m):
 
 
 def test_resolution_check_builds_no_grid():
-    # validating a grid of 10^11 columns once took a 745 GiB arange
+    # validating a grid of 10^11 columns once took a 745 GiB arange; the
+    # grid is now refused by name, and the refusal allocates nothing either
     tracemalloc.start()
     try:
-        check_bridge_resolution(0.1, 1500, 10**11, False)
+        with pytest.raises(DomainError, match="--grid"):
+            check_bridge_resolution(0.1, 1500, 10**11, False)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2**20, peak
+
+
+@pytest.mark.parametrize("integral", [False, True])
+def test_resolution_check_refuses_a_grid_beyond_physical_memory(monkeypatch, integral):
+    # a machine of 2**30 bytes; a worker holds (2 + integral) rows of
+    # min(16, paths) paths, t and a weight row, m doubles each
+    sizes = {"SC_PHYS_PAGES": 2**18, "SC_PAGE_SIZE": 4096}
+    monkeypatch.setattr(os, "sysconf", lambda name: sizes[name])
+    rows = (2 + integral) * 16 + 2
+    fits = 2**30 // (8 * rows)
+    check_bridge_resolution(0.1, 1500, fits, integral)
+    with pytest.raises(DomainError) as refused:
+        check_bridge_resolution(0.1, 1500, fits + 1, integral)
+    message = str(refused.value)
+    assert "\n" not in message
+    assert message.startswith(f"--grid {fits + 1} needs {rows * 8 * (fits + 1)} bytes"), message
+    if not integral:  # fewer paths than a block: the rows shrink with them
+        check_bridge_resolution(0.1, 2, fits + 1, False)
+
+
+def test_resolution_check_skips_the_memory_bound_without_sysconf(monkeypatch):
+    def unknown(name):
+        raise ValueError(f"unrecognized configuration name {name!r}")
+
+    monkeypatch.setattr(os, "sysconf", unknown)
+    check_bridge_resolution(0.1, 1500, 10**11, False)
 
 
 def test_bridge_functional_small_shape_scaling():

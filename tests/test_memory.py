@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from tailband import data as data_module
 from tailband.bands import REGIME_QQ, ConfidenceBand
 from tailband.data import ingest, write_sample_file
 from tailband.outputs import write_band_csv, write_plot_csv, write_plot_svg
@@ -34,6 +35,20 @@ def test_ingest_peak_is_near_the_values(tmp_path):
     peak, sample = _traced_peak(lambda: ingest(f))
     assert sample.n == n
     assert peak < 2.5 * sample.values.nbytes, peak / sample.values.nbytes
+
+
+@pytest.mark.skipif(not data_module._EXACT_KERNEL, reason="the decimal kernel needs the x87 extended long double")
+def test_decimal_kernel_peak_per_input_byte(tmp_path):
+    # One chunk as ingest reads it, of shortest reprs like simulate's
+    # output (about 18 bytes a line).  The kernel once held 12.3 bytes per
+    # input byte, 806 KB for a 64 KiB chunk, in fresh temporaries.
+    f = tmp_path / "reprs.txt"
+    write_sample_file(np.random.default_rng(5).lognormal(0.0, 2.0, 3 * data_module._CHUNK_CHARS // 16), f)
+    with data_module._open_text(f) as fh:
+        text = next(data_module._texts(fh))
+    peak, (values, accepted, _) = _traced_peak(lambda: data_module._parse_decimals(text))
+    assert accepted.mean() > 0.99 and values.size > data_module._CHUNK_CHARS // 20
+    assert peak < 4 * len(text), peak / len(text)
 
 
 def _band(rows: int) -> ConfidenceBand:

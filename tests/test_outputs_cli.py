@@ -214,6 +214,16 @@ def test_svg_renderer_matches_per_point_renderer(monkeypatch, tmp_path):
         assert new == _per_point_svg(plot, case_bands, slope, title, coord=lambda v: repr(float(v)))
 
 
+def test_svg_block_template_matches_per_point_format():
+    # -0.0, subnormals, 1e308, integer-valued floats, and random pixels
+    rng = np.random.default_rng(17)
+    pixels = rng.uniform(-20.0, 880.0, 2 * 2048)
+    for x, y in [(_EDGE_FLOATS, _EDGE_FLOATS[::-1]), (-_EDGE_FLOATS, _EDGE_FLOATS), (pixels[0::2], pixels[1::2]),
+                 (np.array([-0.0]), np.array([5e-324]))]:
+        expected = " ".join(map(outputs._POINT_FMT.format, x.tolist(), y.tolist()))
+        assert outputs._points_text(x, y) == expected
+
+
 def test_sample_writer_matches_per_value_writer(tmp_path):
     draws = sample_pareto(0.5, 2 * (1 << 16) + 5, RngStream(4))  # past two chunk edges
     for i, values in enumerate([draws, _EDGE_FLOATS, np.empty(0), np.array([1e308])]):
@@ -1014,3 +1024,14 @@ def test_manifest_replay_reproduces_outputs(tmp_path):
     recorded[idx] = str(out / "replay.txt")
     assert main(recorded) == 0
     assert read(out / "s.txt") == read(out / "replay.txt")
+
+
+def test_quantiles_refuses_a_grid_beyond_memory_by_name(tmp_path, capsys):
+    # the check comes before any path buffer, so nothing large is allocated
+    out = tmp_path / "q.json"
+    argv = ["quantiles", "--functional", "me-c", "--xi", "0.25", "--eps", "0.1", "--level", "0.975",
+            "--paths", "1000", "--grid", "100000000000", "--out", out]
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("DomainError: --grid 100000000000 needs ") and err.count("\n") == 1, err
+    assert not out.exists()
