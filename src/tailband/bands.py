@@ -39,7 +39,7 @@ from .distributions import (
     sample_gpd,
     sample_pareto,
 )
-from .errors import DomainError, MeanDoesNotExist, RegimeBoundary
+from .errors import DomainError, MeanDoesNotExist, RegimeBoundary, UntabulatedShape
 from .limitsim import (
     DEFAULT_GRID,
     DEFAULT_PATHS,
@@ -340,7 +340,7 @@ class BandQuantileTable:
 
     def lookup(self, xi: float) -> tuple[QuantileEstimate, QuantileEstimate]:
         if not (self.xis[0] <= xi <= self.xis[-1]):
-            raise DomainError(f"xi={xi:.4f} outside tabulated range [{self.xis[0]}, {self.xis[-1]}]")
+            raise UntabulatedShape(f"xi={xi:.4f} outside tabulated range [{self.xis[0]}, {self.xis[-1]}]")
         c = _pchip(self.xis, self.c_values, xi)
         d = _pchip(self.xis, self.d_values, xi)
         mk = lambda v, err: QuantileEstimate(
@@ -354,10 +354,21 @@ class BandQuantileTable:
         return mk(c, self.c_err), mk(d, self.d_err)
 
 
+# What a replication refuses instead of drawing its band: an estimated shape
+# that the quantile table does not cover, that sits on the regime boundary,
+# or at which the mean does not exist.
+_REFUSALS = (UntabulatedShape, RegimeBoundary, MeanDoesNotExist)
+
+
 @dataclass(frozen=True)
 class CoverageResult:
+    """Whether each replication's band held the line.  A replication whose
+    estimated shape has no band is a miss, and `refusals` names it:
+    (replication, reason), the reason being the refusal's class name."""
+
     hits: tuple[bool, ...]
     replications: int
+    refusals: tuple[tuple[int, str], ...]
 
     @property
     def coverage(self) -> float:
@@ -381,7 +392,9 @@ def coverage_experiment(
     plot's k (the width a practitioner would use), builds the band, and
     checks containment of the line whose slope uses the TRUE xi, evaluated
     at the per-index model positions.  For ME plots the band quantiles are
-    read from a shape-grid table built once from a dedicated stream.
+    read from a shape-grid table built once from a dedicated stream.  A
+    replication whose Hill estimate has no band (see _REFUSALS) counts as a
+    miss and is recorded in the result's refusals.
     """
     if plot not in (QQ, ME):
         raise DomainError(f"coverage plot must be 'qq' or 'me', got {plot!r}")
@@ -407,12 +420,18 @@ def coverage_experiment(
             threads=threads,
         )
     slope = dist.xi if plot == QQ else dist.xi / (1.0 - dist.xi)
+    refusals = []
     for rep in range(replications):
         rep_rng = rng.child(rep)
         sample = dist.sample(n, rep_rng)
         xi_hat = hill_estimate(sample, cfg.k).xi
         base = qq_set(sample, cfg) if plot == QQ else me_set(sample, cfg)
-        [band] = build_bands(sample, base, cfg, xi_hat, [cfg.alpha], lambda _: [table.lookup(xi_hat)])
+        try:
+            [band] = build_bands(sample, base, cfg, xi_hat, [cfg.alpha], lambda _: [table.lookup(xi_hat)])
+        except _REFUSALS as refusal:
+            hits[rep] = False
+            refusals.append((rep, type(refusal).__name__))
+            continue
         model_x = None if plot == QQ else (base.indices / cfg.k) ** (-dist.xi)
         hits[rep] = band.contains_line(slope, model_x=model_x)
-    return CoverageResult(hits=tuple(hits.tolist()), replications=replications)
+    return CoverageResult(hits=tuple(hits.tolist()), replications=replications, refusals=tuple(refusals))

@@ -22,6 +22,7 @@ import shlex
 import sys
 import traceback
 import warnings
+from collections import Counter
 from pathlib import Path
 
 from . import __version__
@@ -454,6 +455,7 @@ def cmd_coverage(args: argparse.Namespace, argv: list[str]) -> int:
         },
         "coverage": result.coverage,
         "per_replication": list(result.hits),
+        "refusals": dict(Counter(reason for _, reason in result.refusals)),
     }
     report_path = outdir / "report.json"
     write_json(report_path, report)

@@ -9,6 +9,7 @@ statistics.
 """
 from __future__ import annotations
 
+import functools
 import io
 import math
 import sys
@@ -16,7 +17,7 @@ from array import array
 from dataclasses import InitVar, dataclass
 from itertools import chain
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -466,17 +467,250 @@ def ingest(path: str | Path, format: str = PLAIN, column: int = 0, digest=None) 
 WRITE_ROWS = 2048
 
 
+# The decimal writer: the text of repr(v), which is the shortest decimal
+# that reads back as v and, among those, the nearest to v (dtoa's mode 0),
+# for a whole column at once.  With E = floor(log10|v|) and k = 16 - E, the
+# value s = |v| 10**k lies in [1e16, 1e17); k is read off the binary
+# exponent of v and lowered by one where that puts s at 1e17 or above.  For 0 <= k <= 22, 10**k is an
+# exact double (5**22 < 2**53), so Dekker's product splits s exactly into
+# hi + lo, and s = H + f with H an int64 and 0 <= f < 1.  Every double that
+# rounds to v lies within h = ulp(v)/2 * 10**k of s (also exact), unless v
+# is a power of two, whose interval is narrower below it.  Because
+# 0.55 < h < 11.2, the shortest decimal has 17 digits unless the nearest
+# multiple of 10 lies within h (16 digits), and it is shorter still only if
+# the nearest multiple of 100 lies within h.  At most one multiple of 100
+# does, so that candidate is the answer and its trailing zeros fix the
+# digit count.  A value within 1e-9 of a tie or of an interval edge, a
+# power of two whose decimal is not exact in 15 digits, |v| outside
+# [1e-6, 1e17), NaN and the infinities are declined and written by repr.
+_TEXT_WIDTH = 24  # the longest repr: "-1.2345678901234567e-308"
+_MIN_DECPT, _MAX_DECPT = -5, 18  # where the decimal point of a written value falls
+_DECPTS = _MAX_DECPT - _MIN_DECPT + 1
+_REPR_KEY = 17 * _DECPTS * 2  # the layout of a row that holds repr's text
+# A value's source row: its 17 digits in bytes 3..19 (written as five
+# 4-byte groups, the first holding "000" and the leading digit), then the
+# characters that the layout adds.
+_ALPHABET = b"-.e+0123456789\0\0"
+_SOURCE_BYTES = 20 + len(_ALPHABET)
+_FIRST_DIGIT, _DASH, _POINT, _E, _PLUS, _ZERO, _NUL = 3, 20, 21, 22, 23, 24, 34
+
+
+class _WriterTables(NamedTuple):
+    scale: np.ndarray  # 10**k at index k + 1, for k = -1..23
+    scale_hi: np.ndarray  # its Veltkamp halves
+    scale_lo: np.ndarray
+    k_of_exponent: np.ndarray  # k + 1 by the exponent field of |v|, 0 where no value is written by the kernel
+    half_ulp: np.ndarray  # ulp/2 of a normal double by its exponent field
+    group_text: np.ndarray  # the four ASCII digits of 0..9999 as one uint32
+    group_zeros: np.ndarray  # their trailing zeros
+    layout: np.ndarray  # the source-row byte of each text byte, by layout key
+    text_length: np.ndarray  # the text's length, by layout key
+
+
+@functools.cache
+def _writer_tables() -> _WriterTables:
+    """The decimal writer's tables, built with numpy on first use (about
+    1 ms, which import does not pay)."""
+    # the ends of scale only serve the test that moves k: 10**23 and 0.1 are not exact
+    scale = 10.0 ** np.arange(-1, 24)
+    scale_hi = scale * 134217729.0
+    scale_hi -= scale_hi - scale
+    # 17 - floor(log10(2**e)) puts |v| 10**k in [1e16, 2e17); e * log10(2)
+    # is at least 0.003 from an integer for |e| < 93
+    e = np.arange(-1023, 1025)
+    k_of_exponent = np.where((e >= -20) & (e <= 56), 17 - np.floor(e * np.log10(2.0)), 0).astype(np.intp)
+    # the digits of 0..9999 on a (10, 10, 10, 10) grid
+    digits = [np.arange(10).reshape([10 if i == j else 1 for j in range(4)]) for i in range(4)]
+    group_text = np.stack(np.broadcast_arrays(*digits), axis=-1).astype(np.uint8) + ord("0")
+    group_zeros = (digits[3] == 0) * (1 + (digits[2] == 0) * (1 + (digits[1] == 0) * (1 + (digits[0] == 0))))
+    layout = _build_layout()
+    return _WriterTables(scale, scale_hi, scale - scale_hi, k_of_exponent, np.ldexp(1.0, e - 53),
+                         group_text.view(np.uint32).ravel(), group_zeros.astype(np.intp).ravel(), layout,
+                         np.count_nonzero(layout != _NUL, axis=1))
+
+
+def _build_layout() -> np.ndarray:
+    """For each layout key ((17 - digits) * _DECPTS + decpt - _MIN_DECPT) * 2
+    + sign, the source-row byte of each of the _TEXT_WIDTH text bytes
+    (_NUL past the end).  The text is repr's: fixed notation for
+    -4 < decpt <= 16 with ".0" on an integer, otherwise d.ddde+XX.  The last
+    key copies a row that holds repr's text."""
+    nd = 17 - np.arange(17)[:, None, None, None]  # significant digits
+    dp = np.arange(_MIN_DECPT, _MAX_DECPT + 1)[None, :, None, None]
+    neg = np.arange(2)[None, None, :, None]
+    w = np.arange(_TEXT_WIDTH) - neg  # text position after the sign
+    digit = _FIRST_DIGIT + w  # the digit at w, where digits start at w = 0
+    large = (dp >= 1) & (dp <= 16)  # ddd.ddd, or ddd000.0
+    small = (dp >= -3) & (dp <= 0)  # 0.000ddd
+    sci = ~large & ~small
+    mant = nd + (nd > 1)  # d or d.ddd before the "e"
+    e = np.abs(dp - 1)
+    cases = [
+        (neg.astype(bool) & (w == -1), _DASH),
+        (large & (w < dp) & (w < nd), digit),
+        (large & (w < dp), _ZERO),
+        (large & (w == dp), _POINT),
+        (large & (w > dp) & (w <= nd), digit - 1),
+        (large & (w == dp + 1) & (nd <= dp), _ZERO),
+        (small & (w == 1), _POINT),
+        (small & (w < 2 - dp), _ZERO),
+        (small & (w < 2 - dp + nd), digit - 2 + dp),
+        (sci & (w == 0), digit),
+        (sci & (w == 1) & (nd > 1), _POINT),
+        (sci & (w < mant), digit - 1),
+        (sci & (w == mant), _E),
+        (sci & (w == mant + 1), np.where(dp > 1, _PLUS, _DASH)),
+        (sci & (w == mant + 2), _ZERO + e // 10),
+        (sci & (w == mant + 3), _ZERO + e % 10),
+    ]
+    layout = np.select(*zip(*cases), _NUL).reshape(-1, _TEXT_WIDTH)
+    return np.vstack([layout, np.arange(_TEXT_WIDTH)])
+
+
+def _source_rows(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The source row and the layout key of each value of the float64 array
+    v (see the decimal writer above); a declined value's row holds repr's
+    text under _REPR_KEY."""
+    t = _writer_tables()
+    bits = v.view(np.int64)
+    exponent = (bits >> 52) & 0x7FF
+    k1 = t.k_of_exponent[exponent]  # k + 1
+    ok = k1 != 0
+    a = np.abs(v)
+    with np.errstate(all="ignore"):  # NaN, inf and the declined magnitudes
+        k1 -= a * t.scale[k1] >= 1e17
+        ok &= (k1 >= 1) & (k1 <= 23)
+        hi = a * t.scale[k1]
+        # Dekker's exact product a * 10**k = hi + lo
+        split = a * 134217729.0
+        a_hi = split - (split - a)
+        a_lo = a - a_hi
+        p_hi, p_lo = t.scale_hi[k1], t.scale_lo[k1]
+        lo = a_hi * p_hi - hi
+        lo += a_lo * p_hi
+        lo += a_hi * p_lo
+        lo += a_lo * p_lo
+        whole = np.floor(lo)
+        f = lo - whole
+        H = hi.astype(np.int64)
+        H += whole.astype(np.int64)
+        h = t.half_ulp[exponent] * t.scale[k1]
+    del split, a_hi, a_lo, p_hi, p_lo, lo, whole, hi
+    ok &= (H >= 10**16) & (H < 10**17)
+    np.copyto(H, 10**16, where=~ok)  # keep the digit arithmetic in range
+    upper = H // 100_000_000  # the first 9 digits
+    lower = H - upper * 100_000_000  # the last 8
+    del H
+    # the nearest multiples of 100 and of 10: r is the distance from the
+    # one below s, d the distance from the nearest
+    r100 = lower % 100
+    t100 = r100 + f
+    d100 = np.minimum(t100, 100 - t100)
+    r10 = r100 % 10
+    t10 = r10 + f
+    d10 = np.minimum(t10, 10 - t10)
+    within100 = d100 < h
+    within10 = d10 < h
+    unsure = np.abs(d100 - h) < 1e-9
+    unsure |= np.abs(d10 - h) < 1e-9
+    unsure |= np.abs(t10 - 5) < 1e-9
+    unsure |= (np.abs(f - 0.5) < 1e-9) & ~within10
+    power_of_two = (bits & ((1 << 52) - 1)) == 0
+    if power_of_two.any():
+        # only the exact decimal of a power of two is certain
+        unsure |= power_of_two & ((r100 != 0) | (f != 0))
+    ok &= ~unsure
+    del d100, d10, h, unsure, power_of_two
+    step = (f > 0.5).astype(np.int64)  # to the nearest integer
+    np.copyto(step, 10 * (t10 > 5) - r10, where=within10)
+    np.copyto(step, 100 * (t100 > 50) - r100, where=within100)
+    del f, r100, t100, r10, t10, within100, within10
+    lower += step
+    carry = lower >= 100_000_000
+    upper += carry
+    lower -= carry * 100_000_000
+    top = upper == 1_000_000_000  # rounded up to 10**17: one digit more before the point
+    decpt = 18 - k1 + top
+    upper[top] = 100_000_000
+    del step, carry, top, k1
+    zero = (bits << 1) == 0
+    if zero.any():
+        upper[zero] = lower[zero] = 0
+        decpt[zero] = 1  # "0.0"
+        ok |= zero
+    lead = upper // 100_000_000
+    upper -= lead * 100_000_000
+    groups = [lead, upper // 10_000, upper % 10_000, lower // 10_000, lower % 10_000]
+    rows = np.empty((v.size, _SOURCE_BYTES // 4), np.uint32)
+    for i, g in enumerate(groups):
+        rows[:, i] = t.group_text[g]
+    rows[:, 5:] = np.frombuffer(_ALPHABET, np.uint32)
+    zeros = t.group_zeros[groups[4]]  # trailing zeros of the digits
+    run = groups[4] == 0
+    for g in groups[3:0:-1]:
+        zeros += run * t.group_zeros[g]
+        run &= g == 0
+    key = zeros * _DECPTS
+    key += decpt - _MIN_DECPT
+    key *= 2
+    key += bits < 0
+    rows = rows.view(np.uint8)
+    declined = np.flatnonzero(~ok)
+    key[declined] = _REPR_KEY
+    for i in declined.tolist():
+        rows[i, :_TEXT_WIDTH] = np.frombuffer(repr(float(v[i])).encode().ljust(_TEXT_WIDTH, b"\0"), np.uint8)
+    return rows, key
+
+
+def _column_text(v: np.ndarray) -> np.ndarray:
+    """The text of each value of v, left-aligned in a row of NUL bytes as
+    wide as the longest: one take from the source rows by the layout."""
+    rows, key = _source_rows(np.ascontiguousarray(v, dtype=np.float64))
+    t = _writer_tables()
+    index = t.layout[:, :t.text_length[key].max()][key]
+    index += np.arange(0, rows.size, _SOURCE_BYTES)[:, None]
+    return rows.ravel().take(index)
+
+
+def csv_lines(columns: Iterable[np.ndarray]) -> str:
+    """The CSV lines of a block of rows, one float array per column: the
+    same text as "".join(",".join(map(repr, row)) + "\n" for row in rows).
+    Columns with the same bytes are formatted once.  Each value's text
+    is padded with NULs to its column's width, and the padding is dropped
+    from the block's bytes at the end."""
+    columns = list(columns)
+    if not columns or not len(columns[0]):
+        return ""
+    texts: dict[bytes, np.ndarray] = {}
+    cells = []
+    for col in columns:
+        key = col.tobytes()
+        if key not in texts:
+            texts[key] = _column_text(col)
+        cells.append(texts[key])
+    block = np.empty((len(cells[0]), sum(c.shape[1] + 1 for c in cells)), np.uint8)
+    at = 0
+    for text in cells:
+        width = text.shape[1]
+        block[:, at:at + width] = text
+        block[:, at + width] = ord(",")
+        at += width + 1
+    block[:, -1] = ord("\n")
+    del texts, cells, text
+    return block.tobytes().translate(None, b"\0").decode("ascii")
+
+
 def write_sample_file(sample: OrderedSample | np.ndarray, path: str | Path) -> None:
     """Write one value per line in the format `ingest` reads back.
 
-    Floats are written in shortest round-trip form, so
-    ingest(write(ingest(f))) is the identity on the ordered values.  They
-    are formatted a column at a time, WRITE_ROWS values per write.
+    Floats are written as repr writes them, the shortest decimal that
+    round-trips, so ingest(write(ingest(f))) is the identity on the ordered
+    values.  `csv_lines` formats WRITE_ROWS values per write.
     """
     values = sample.values if isinstance(sample, OrderedSample) else np.asarray(sample, dtype=float)
     with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
         for start in range(0, len(values), WRITE_ROWS):
-            fh.write("\n".join(map(repr, values[start:start + WRITE_ROWS].tolist())) + "\n")
+            fh.write(csv_lines([values[start:start + WRITE_ROWS]]))
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,10 @@ class DomainError(TailbandError):
     pass
 
 
+class UntabulatedShape(DomainError):
+    """A shape outside the range a table of band quantiles covers."""
+
+
 class RegimeMismatch(TailbandError):
     pass
 

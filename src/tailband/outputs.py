@@ -1,11 +1,13 @@
 """Deterministic file emission: CSV, JSON, SVG, and run manifests.
 
-Float formatting rules keep every byte reproducible: CSV uses the shortest
-round-trip representation (repr), SVG uses 9 significant digits, JSON is
-emitted with sorted keys, and nothing embeds timestamps.  Numbers are
-formatted a column at a time (`tolist()` and `map`, no Python loop per
-value).  The CSV and SVG writers stream their text to the file in blocks of
-`WRITE_ROWS` rows, so what they hold at once does not grow with the row
+Float formatting rules keep every byte reproducible: CSV holds each value as
+repr writes it, the shortest decimal that round-trips, SVG uses 9
+significant digits, JSON is emitted with sorted keys, and nothing embeds
+timestamps.  The CSV text comes from the decimal writer `data.csv_lines`,
+which formats a block of rows with numpy and hands repr only the values it
+cannot certify; the SVG's points are formatted a block at a time by one
+template.  The CSV and SVG writers stream their text to the file in blocks
+of `WRITE_ROWS` rows, so what they hold at once does not grow with the row
 count.
 """
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .bands import ConfidenceBand
-from .data import WRITE_ROWS
+from .data import WRITE_ROWS, csv_lines
 from .plotsets import PlotSet
 
 MANIFEST_NAME = "run_manifest.json"
@@ -41,23 +43,16 @@ def _csv_pieces(
     header: Sequence[str], n: int, columns: Callable[[slice], Sequence[np.ndarray]]
 ) -> Iterator[str]:
     """The text of a CSV file: its header line, then the lines of each block
-    of rows.  columns(rows) returns each column's values in the slice rows;
-    columns with the same bytes in a block are formatted once."""
+    of rows.  columns(rows) returns each column's values in the slice rows."""
     yield ",".join(header) + "\n"
     for rows in _blocks(n):
-        texts: dict[bytes, list[str]] = {}
-        cells = []
-        for col in columns(rows):
-            key = col.tobytes()
-            if key not in texts:
-                texts[key] = list(map(repr, col.tolist()))
-            cells.append(texts[key])
-        yield "\n".join(map(",".join, zip(*cells))) + "\n"
+        yield csv_lines(columns(rows))
 
 
 def write_csv(path: str | Path, header: Sequence[str], columns: Sequence) -> None:
-    """Write equal-length numeric columns, each value in the shortest decimal
-    form that round-trips to the same float (repr)."""
+    """Write equal-length numeric columns, each value as repr writes it: the
+    shortest decimal that round-trips to the same float (see
+    `data.csv_lines`)."""
     cols = [np.asarray(col, dtype=float) for col in columns]
     n = min(map(len, cols), default=0)
     _write_text(path, _csv_pieces(header, n, lambda rows: [col[rows] for col in cols]))

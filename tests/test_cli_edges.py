@@ -2,12 +2,14 @@
 subcommands takes NaN, inf, 0, a negative, a tiny and a huge value.
 
 Each case must exit 0 or 2, never 1.  On exit 2 it prints exactly one stderr
-line and leaves no data file behind.  Each case runs in a fresh interpreter
-whose address space is capped at 2 GB, so a huge --n, --grid or --paths
-fails at allocation instead of taking the machine's memory.
+line and leaves no data file behind.  Two helper processes each import
+tailband.cli once and fork a child per case, which runs cli.main as `python
+-m tailband.cli` would, with its address space capped at 2 GB, so a huge
+--n, --grid or --paths fails at allocation instead of taking the machine's
+memory.
 """
+import json
 import os
-import resource
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -73,8 +75,41 @@ TABLE = {
 }
 
 
-def _cap_address_space():
-    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
+# The helper: it reads [address space, [[argv, cwd, stderr path], ...]] as
+# JSON on stdin and writes each case's exit code as JSON on stdout.  A child
+# exits as the interpreter would: SystemExit's code, or 1 after printing the
+# traceback of any other exception.  SIGALRM ends a case that hangs.
+_FORK_HELPER = """
+import json, os, resource, signal, sys, traceback
+import tailband.cli
+limit, cases = json.load(sys.stdin)
+codes = []
+for argv, cwd, stderr in cases:
+    sys.stdout.flush()
+    sys.stderr.flush()
+    pid = os.fork()
+    if pid == 0:
+        os.chdir(cwd)
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+        os.dup2(os.open(stderr, os.O_WRONLY | os.O_CREAT | os.O_TRUNC), 2)
+        signal.alarm(120)
+        try:
+            code = tailband.cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except BaseException:
+            traceback.print_exc()
+            code = 1
+        if code is not None and not isinstance(code, int):
+            print(code, file=sys.stderr)
+            code = 1
+        sys.stdout.flush()
+        sys.stderr.flush()
+        os._exit(code or 0)
+    codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+json.dump(codes, sys.stdout)
+"""
 
 
 def _with_value(argv: list[str], flag: str, value: str) -> list[str]:
@@ -84,22 +119,30 @@ def _with_value(argv: list[str], flag: str, value: str) -> list[str]:
     return argv + [flag, value]
 
 
-def _run_case(case, sample: Path, workdir: Path) -> str | None:
-    """None when the case behaves, else what went wrong."""
-    argv, label = case
-    outdir = workdir / label
-    argv = [a.format(f=sample, o=outdir) for a in argv]
+def _run_cases(cases, sample: Path, workdir: Path) -> list[str]:
+    """What went wrong in each case that misbehaved, run one after another
+    in a child of one helper process."""
+    logs = workdir / "stderr"
+    logs.mkdir(exist_ok=True)
+    jobs = [([a.format(f=sample, o=workdir / label) for a in argv], str(workdir), str(logs / f"{i}"))
+            for i, (argv, label) in enumerate(cases)]
     env = dict(os.environ, PYTHONPATH=str(Path(tailband.__file__).resolve().parent.parent))
-    proc = subprocess.run(
-        [sys.executable, "-m", "tailband.cli", *argv], env=env, capture_output=True, text=True,
-        timeout=120, cwd=workdir, preexec_fn=_cap_address_space,
-    )
-    if proc.returncode == 0:
+    proc = subprocess.run([sys.executable, "-c", _FORK_HELPER], input=json.dumps([ADDRESS_SPACE, jobs]),
+                          env=env, capture_output=True, text=True, timeout=600, check=True)
+    codes = json.loads(proc.stdout)
+    faults = [_fault(label, code, Path(stderr).read_text(), workdir / label)
+              for (_, label), code, (_, _, stderr) in zip(cases, codes, jobs)]
+    return [f for f in faults if f]
+
+
+def _fault(label: str, code: int, stderr: str, outdir: Path) -> str | None:
+    """None when the case behaves, else what went wrong."""
+    if code == 0:
         return None
-    if proc.returncode != 2:
-        return f"{label}: exit {proc.returncode}: {proc.stderr.strip().splitlines()[-1:]}"
-    if proc.stderr.count("\n") != 1 or not proc.stderr.endswith("\n"):
-        return f"{label}: {proc.stderr.count(chr(10))} stderr lines: {proc.stderr!r}"
+    if code != 2:
+        return f"{label}: exit {code}: {stderr.strip().splitlines()[-1:]}"
+    if stderr.count("\n") != 1 or not stderr.endswith("\n"):
+        return f"{label}: {stderr.count(chr(10))} stderr lines: {stderr!r}"
     left = sorted(p.name for p in outdir.rglob("*") if p.is_file()) if outdir.exists() else []
     if left:
         return f"{label}: refused but left {left}"
@@ -116,6 +159,10 @@ def test_every_numeric_flag_exits_0_or_2_with_one_line(command, tmp_path):
         for flag in flags
         for value in EDGE_VALUES
     ]
+    # two helpers, each with its own working directory, take every other case
+    halves = [tmp_path / "a", tmp_path / "b"]
+    for half in halves:
+        half.mkdir()
     with ThreadPoolExecutor(max_workers=2) as pool:
-        faults = [f for f in pool.map(lambda c: _run_case(c, sample, tmp_path), cases) if f]
+        faults = sum(pool.map(lambda i: _run_cases(cases[i::2], sample, halves[i]), range(2)), [])
     assert not faults, "\n".join(faults)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from tailband import outputs
-from tailband.bands import qq_band
+from tailband.bands import CoverageDistribution, coverage_experiment, qq_band
 from tailband.cli import _CACHE_HEADER, _CACHE_NUMERICS, main
 from tailband.data import OrderedSample, ingest, write_sample_file
 from tailband.distributions import sample_pareto
@@ -990,6 +990,23 @@ def test_coverage_me_plot_and_single_replication(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert len(report["per_replication"]) == 1
     assert report["coverage"] in (0.0, 1.0)
+
+
+def test_coverage_counts_a_replication_without_a_band_as_a_miss(tmp_path):
+    # near the regime boundary some Hill estimates fall off the shape table
+    # (clipped at 0.47) or inside [0.48, 0.52]; such a replication once
+    # aborted the whole run with exit 2
+    argv = ["coverage", "--plot", "me", "--xi", 0.45, "--n", 3000, "--k", 300, "--eps", 0.1,
+            "--replications", 50, "--paths", 1000, "--grid", 1024, "--seed", 4]
+    assert run_cli(*argv, "--outdir", tmp_path / "o") == 0
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    refused = sum(report["refusals"].values())
+    assert refused > 0 and set(report["refusals"]) <= {"UntabulatedShape", "RegimeBoundary", "MeanDoesNotExist"}
+    assert report["coverage"] == sum(report["per_replication"]) / 50
+    result = coverage_experiment(CoverageDistribution("pareto", 0.45), 3000, PlotConfig(300, 0.1), 50,
+                                 RngStream(4), plot="me", n_paths=1000, grid_m=1024)
+    assert result.hits == tuple(report["per_replication"]) and len(result.refusals) == refused
+    assert not any(result.hits[rep] for rep, _ in result.refusals)
 
 
 def test_coverage_me_refuses_a_coarse_path_set(tmp_path, capsys):
