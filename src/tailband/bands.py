@@ -31,14 +31,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import OrderedSample, hill_estimate
-from .distributions import (
-    SUM_OVER_MAX,
-    GpdParams,
-    StableSpec,
-    limit_quantile,
-    sample_gpd,
-    sample_pareto,
-)
 from .errors import DomainError, MeanDoesNotExist, RegimeBoundary, UntabulatedShape
 from .limitsim import (
     DEFAULT_GRID,
@@ -228,6 +220,8 @@ def build_bands(
     _refuse_me_shape(xi)
     tildes = [None] * len(band_cfgs)
     if xi > 0.5:
+        from .distributions import SUM_OVER_MAX, StableSpec, limit_quantile
+
         spec = StableSpec(alpha=1.0 / xi, skew=1.0, kind=SUM_OVER_MAX)
         found = limit_quantile(spec, [p for a in alphas for p in (a / 2.0, 1.0 - a / 2.0)])
         tildes = [found[2 * i : 2 * i + 2] for i in range(len(band_cfgs))]
@@ -257,6 +251,8 @@ class CoverageDistribution:
             raise DomainError("coverage study needs xi > 0")
 
     def sample(self, n: int, rng: RngStream) -> OrderedSample:
+        from .distributions import GpdParams, sample_gpd, sample_pareto
+
         if self.name == "pareto":
             return sample_pareto(self.xi, n, rng)
         return sample_gpd(GpdParams(self.xi, self.beta), n, rng)

@@ -8,7 +8,6 @@ bit-identical for any worker count.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -40,5 +39,7 @@ def run_batches(fn: Callable[[T], R], args: Sequence[T], threads: int = 1) -> li
     workers = min(threads, len(args), cpus)
     if workers <= 1:
         return [fn(a) for a in args]
+    from concurrent.futures import ThreadPoolExecutor  # its threading, queue and logging only for a pool
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, args))

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from tailband import bands as bands_module
+from tailband import distributions
 from tailband.bands import (
     BandQuantileTable,
     ConfidenceBand,
@@ -175,10 +175,11 @@ def test_me_band_heavy_regime_holds_the_model_point_exactly_when_the_law_does():
 
 
 def test_me_bands_heavy_regime_runs_one_quantile_search(monkeypatch):
+    # build_bands reads limit_quantile from distributions when it runs
     searches = []
-    search = bands_module.limit_quantile
     monkeypatch.setattr(
-        bands_module, "limit_quantile", lambda spec, q, *a, **k: searches.append(list(q)) or search(spec, q, *a, **k)
+        distributions, "limit_quantile",
+        lambda spec, q, *a, **k: searches.append(list(q)) or limit_quantile(spec, q, *a, **k),
     )
     s = sample_pareto(0.7, 20_000, RngStream(7))
     cfg = PlotConfig(1000, 0.1, 0.05)
@@ -329,7 +330,8 @@ def test_every_bridge_quantile_caller_checks_resolution(n_paths, grid_m, eps, me
 def test_c_functional_window_needs_two_grid_columns():
     with pytest.raises(DomainError, match="holds 1 of the grid=1000 columns"):
         bridge_quantiles(0.7, 0.9999, [0.975], 100, 1000, RngStream(0), integral=False)
-    [(c, d)] = bridge_quantiles(0.7, 0.999, [0.975], 100, 1000, RngStream(0), integral=False)  # two columns
+    with pytest.warns(UserWarning, match="draws beyond it"):  # 100 paths leave 2.5 draws beyond the level
+        [(c, d)] = bridge_quantiles(0.7, 0.999, [0.975], 100, 1000, RngStream(0), integral=False)  # two columns
     assert c.value > 0 and d is None
 
 

@@ -620,7 +620,8 @@ def test_run_batches_caps_workers(monkeypatch):
         def map(self, fn, args):
             return map(fn, args)
 
-    monkeypatch.setattr(parallel, "ThreadPoolExecutor", RecordingPool)
+    # run_batches reads the pool class from concurrent.futures when it starts one
+    monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", RecordingPool)
     monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     monkeypatch.setattr(parallel.os, "cpu_count", lambda: 8)
     square = lambda v: v * v
