@@ -40,6 +40,7 @@ from .limitsim import (
     bridge_functional_samples,
     check_bridge_resolution,
     qq_sup_quantile,
+    type7_quantile,
 )
 from .plotsets import ME, QQ, PlotConfig, PlotSet, me_set, qq_set
 from .rng import RngStream
@@ -319,8 +320,8 @@ class BandQuantileTable:
         c_samples, d_samples = bridge_functional_samples(
             xis, eps, n_paths, grid_m, rng, include_integral=True, threads=threads
         )
-        c_values = np.quantile(c_samples, level, axis=1)
-        d_values = np.quantile(d_samples, level, axis=1)
+        c_values = type7_quantile(c_samples, level, axis=1)
+        d_values = type7_quantile(d_samples, level, axis=1)
         mid = len(xis) // 2
         return cls(
             xis=xis,

@@ -289,7 +289,8 @@ class GilPelaezInverter:
         cd = np.maximum.accumulate(np.asarray(self.cdf(xs)))
         # interval j = [xs[j], xs[j+1]] with cd[j] < q <= cd[j+1]
         cells = np.clip(np.searchsorted(cd, probs) - 1, 0, n_grid - 2)
-        refined, row = np.unique(cells, return_inverse=True)
+        refined = np.array(sorted(set(cells.tolist())), dtype=cells.dtype)  # np.unique would load numpy.ma
+        row = np.searchsorted(refined, cells)
         fine_x = np.linspace(xs[refined], xs[refined + 1], _REFINE_STEPS + 1, axis=1)
         fine_cd = np.maximum.accumulate(self.cdf(fine_x.ravel()).reshape(fine_x.shape), axis=1)
         out = np.empty(probs.shape)

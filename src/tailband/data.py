@@ -503,6 +503,8 @@ class _WriterTables(NamedTuple):
     half_ulp: np.ndarray  # ulp/2 of a normal double by its exponent field
     group_text: np.ndarray  # the four ASCII digits of 0..9999 as one uint32
     group_zeros: np.ndarray  # their trailing zeros
+    group_variants: np.ndarray  # group_text, then its variants with zeros as NUL (see _LEADING)
+    k9_of_exponent: np.ndarray  # k + 1 for the 9-digit writer by the exponent field, 0 where it declines
     layout: np.ndarray  # the source-row byte of each text byte, by layout key
     text_length: np.ndarray  # the text's length, by layout key
 
@@ -515,17 +517,27 @@ def _writer_tables() -> _WriterTables:
     scale = 10.0 ** np.arange(-1, 24)
     scale_hi = scale * 134217729.0
     scale_hi -= scale_hi - scale
-    # 17 - floor(log10(2**e)) puts |v| 10**k in [1e16, 2e17); e * log10(2)
-    # is at least 0.003 from an integer for |e| < 93
+    # 17 - floor(log10(2**e)) puts |v| 10**k in [1e16, 2e17), and 8 - that
+    # floor in [1e8, 1e10); e * log10(2) is at least 0.003 from an integer
+    # for |e| < 93
     e = np.arange(-1023, 1025)
-    k_of_exponent = np.where((e >= -20) & (e <= 56), 17 - np.floor(e * np.log10(2.0)), 0).astype(np.intp)
+    e10 = np.floor(e * np.log10(2.0))
+    k_of_exponent = np.where((e >= -20) & (e <= 56), 17 - e10, 0).astype(np.intp)
+    k9_of_exponent = np.where((e10 >= -5) & (e10 <= 8), 9 - e10, 0).astype(np.intp)
     # the digits of 0..9999 on a (10, 10, 10, 10) grid
     digits = [np.arange(10).reshape([10 if i == j else 1 for j in range(4)]) for i in range(4)]
-    group_text = np.stack(np.broadcast_arrays(*digits), axis=-1).astype(np.uint8) + ord("0")
+    text = np.stack(np.broadcast_arrays(*digits), axis=-1).reshape(-1, 4).astype(np.uint8) + ord("0")
     group_zeros = (digits[3] == 0) * (1 + (digits[2] == 0) * (1 + (digits[1] == 0) * (1 + (digits[0] == 0))))
+    # a digit is NUL in a variant when it is a leading (or trailing) zero
+    leading = np.logical_or.accumulate(text != ord("0"), axis=1)
+    lone_zero = leading.copy()
+    lone_zero[0, 3] = True
+    trailing = np.logical_or.accumulate(text[:, ::-1] != ord("0"), axis=1)[:, ::-1]
+    variants = np.stack([text, text * leading, text * lone_zero, text * trailing]).astype(np.uint8)
+    variants = variants.view(np.uint32).ravel()
     layout = _build_layout()
     return _WriterTables(scale, scale_hi, scale - scale_hi, k_of_exponent, np.ldexp(1.0, e - 53),
-                         group_text.view(np.uint32).ravel(), group_zeros.astype(np.intp).ravel(), layout,
+                         variants[:_LEADING], group_zeros.astype(np.intp).ravel(), variants, k9_of_exponent, layout,
                          np.count_nonzero(layout != _NUL, axis=1))
 
 
@@ -698,6 +710,111 @@ def csv_lines(columns: Iterable[np.ndarray]) -> str:
     block[:, -1] = ord("\n")
     del texts, cells, text
     return block.tobytes().translate(None, b"\0").decode("ascii")
+
+
+# The 9-digit writer: the text of format(v, ".9g"), for the coordinates of an
+# SVG polygon or polyline.  With e the decimal exponent of v rounded to 9
+# significant digits and k = 8 - e, that text is in fixed notation for
+# 0 <= k <= 12: the digits of the 9-digit integer N = round(|v| 10**k) with
+# the point k digits from the right, the fraction's trailing zeros dropped,
+# and no point when no fraction is left.  For such k, 10**k is an exact
+# double, so p = |v| 10**k carries a single rounding (under 6e-8 in
+# [1e8, 1e9)), and rint(p) is N unless p lies within 1e-6 of a half-integer.
+# k is first read off the binary exponent of v, which puts p in [1e8, 1e10),
+# then lowered by one where p >= 1e9, and once more where N rounds up to
+# 1e9.  Ties and near-ties, zeros, subnormals, NaN, the infinities and every
+# value that needs exponent notation are declined and written by format().
+# A value's row holds fixed fields: the sign, the integer part in 4-digit
+# groups aligned right, the point, the fraction in 4-digit groups aligned
+# left, and the byte that follows the value.  Its leading and trailing zeros,
+# and an unused sign or point, are NUL, which the block's bytes drop at the
+# end.  Each group's text is looked up in one of four variants of the
+# digit-group table, at these offsets:
+_LEADING = 10_000  # leading zeros as NUL, and 0 as four NULs
+_LONE_ZERO = 20_000  # leading zeros as NUL, but 0 as "0"
+_TRAILING = 30_000  # trailing zeros as NUL, and 0 as four NULs
+
+
+def _fixed9(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(N, k, ok) for the float64 array v: where ok, |v| rounded to 9
+    significant digits is N * 10**-k, with N an integer in [1e8, 1e9) held
+    as a float and 0 <= k <= 12 (see the 9-digit writer above)."""
+    t = _writer_tables()
+    k1 = t.k9_of_exponent[(v.view(np.int64) >> 52) & 0x7FF]  # k + 1
+    ok = k1 != 0
+    a = np.abs(v)
+    with np.errstate(all="ignore"):  # NaN, the infinities and the declined magnitudes
+        k1 -= a * t.scale[k1] >= 1e9
+        p = a * t.scale[k1]
+        N = np.rint(p)
+        p -= N
+        ok &= np.abs(np.abs(p) - 0.5) > 1e-6
+    top = N >= 1e9  # rounded up to 10**(e + 1)
+    N[top] = 1e8
+    k1 -= top
+    ok &= (k1 >= 1) & (k1 <= 13)
+    return N, k1 - 1, ok
+
+
+def _groups(x: np.ndarray, count: int) -> list[np.ndarray]:
+    """The count base-10**4 digits of the int64 array x, most significant first."""
+    groups = []
+    for _ in range(count - 1):
+        q = x // 10_000
+        groups.append(x - q * 10_000)
+        x = q
+    return [x, *groups[::-1]] if count else []
+
+
+def _g9_rows(v: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """One row of bytes per value of the float64 array v: its text as
+    format(v, ".9g") writes it, then its byte of ends, padded with NULs."""
+    t = _writer_tables()
+    N, k, ok = _fixed9(v)
+    declined = np.flatnonzero(~ok)
+    N[declined] = 0.0  # keeps the digit arithmetic in range; the text is replaced
+    k[declined] = k.max(initial=0, where=ok)
+    texts = [format(float(v[i]), ".9g").encode() for i in declined.tolist()]
+    int_groups = max(12 - int(k.min()), 4) // 4  # for 9 - k digits, and at least "0"
+    frac_groups = (int(k.max()) + 3) // 4
+    point = 1 + 4 * int_groups
+    width = max([point + 4 * frac_groups + 2] + [len(s) + 1 for s in texts])
+    unit = t.scale[k + 1]
+    whole = np.floor(N / unit)  # exact: the quotient is at least 10**-k from the next integer
+    N -= whole * unit
+    N *= t.scale[4 * frac_groups - k + 1]  # the fraction's digits, aligned left
+    rows = np.zeros((v.size, width), np.uint8)
+    rows[:, 0] = np.signbit(v) * np.uint8(ord("-"))
+    cells = rows[:, 1:point].view(np.uint32)
+    zero = np.ones(v.size, bool)  # every group written so far is 0
+    for i, g in enumerate(_groups(whole.astype(np.int64), int_groups)):
+        cells[:, i] = t.group_variants[g + zero * (_LONE_ZERO if i == int_groups - 1 else _LEADING)]
+        zero &= g == 0
+    cells = rows[:, point + 1:point + 1 + 4 * frac_groups].view(np.uint32)
+    zero[:] = True
+    for i, g in reversed(list(enumerate(_groups(N.astype(np.int64), frac_groups)))):
+        cells[:, i] = t.group_variants[g + zero * _TRAILING]
+        zero &= g == 0
+    rows[:, point] = ~zero * np.uint8(ord("."))
+    rows[:, -1] = ends
+    for i, s in zip(declined.tolist(), texts):
+        rows[i, :-1] = 0
+        rows[i, :len(s)] = np.frombuffer(s, np.uint8)
+    return rows
+
+
+def g9_points(x: np.ndarray, y: np.ndarray) -> str:
+    """The points of a polygon or polyline: "x,y" pairs joined by spaces,
+    each coordinate as format(v, ".9g") writes it (see the 9-digit writer
+    above)."""
+    if not len(x):
+        return ""
+    xy = np.empty(2 * len(x))
+    xy[0::2] = x
+    xy[1::2] = y
+    rows = _g9_rows(xy, np.tile(np.frombuffer(b", ", np.uint8), len(x)))
+    rows[-1, -1] = 0  # no space after the last pair
+    return rows.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def write_sample_file(sample: OrderedSample | np.ndarray, path: str | Path) -> None:

@@ -328,7 +328,11 @@ def sum_over_max_cf(xi: float, t) -> np.ndarray:
             G[small] = _som_series_integral(sorted_l[small], a)
         if (~small).any():
             bigs = sorted_l[~small]
-            pts = np.unique(np.concatenate([[_SERIES_CUT], np.arange(_SERIES_CUT, bigs[-1], 0.4)[1:], bigs]))
+            # sorted and without repeats, as np.unique would return them
+            # without loading numpy.ma for its masked-array check
+            pts = np.concatenate([[_SERIES_CUT], np.arange(_SERIES_CUT, bigs[-1], 0.4)[1:], bigs])
+            pts.sort()
+            pts = pts[np.concatenate([[True], pts[1:] != pts[:-1]])]
             increments = _som_panel_integrals(pts[:-1], pts[1:], a)
             cum = np.concatenate([[0.0 + 0.0j], np.cumsum(increments)])
             base = _som_series_integral(np.array([_SERIES_CUT]), a)[0]
@@ -497,7 +501,7 @@ def limit_quantile(
     if method == "cf-inversion":
         x_maxes, values = _solve_in_resolved_range(spec, 32.0, lambda inv, p: inv.quantile(p), levels)
         errors = np.empty(levels.size)
-        for x_max in np.unique(x_maxes):
+        for x_max in sorted(set(x_maxes.tolist())):  # np.unique would load numpy.ma
             inv = _build_inverter(spec.alpha, x_max)
             mine = x_maxes == x_max
             h = 1e-3 * np.maximum(1.0, np.abs(values[mine]))

@@ -32,6 +32,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -62,6 +63,26 @@ def _ndtr(x) -> np.ndarray:
     relative accuracy to the rounding of x/sqrt 2.
     """
     return np.array([0.5 * math.erfc(-v * _SQRT1_2) for v in np.ravel(x).tolist()])
+
+
+def type7_quantile(samples, level: float, axis: int = -1):
+    """np.quantile(samples, level, axis=axis) for a float level, bit for bit:
+    the type-7 (linear) quantile, partitioned at the same order statistics
+    and interpolated by the same lerp.  np.quantile sorts its partition
+    points with np.unique, whose masked-array check loads numpy.ma."""
+    a = np.array(samples, dtype=float)
+    n = a.shape[axis]
+    virtual = (n - 1) * level
+    lo = hi = -1  # the largest draw, where the level reaches it
+    if virtual < n - 1:
+        lo = math.floor(virtual)
+        hi = lo + 1
+    a.partition(sorted({-1, 0, lo, hi}), axis=axis)
+    below, above, last = (np.take(a, i, axis=axis) for i in (lo, hi, -1))
+    gamma = virtual - lo  # past the last index as well, as in np.quantile
+    diff = above - below
+    result = above - diff * (1 - gamma) if gamma >= 0.5 else below + diff * gamma
+    return np.where(np.isnan(last), last, result)  # a NaN draw makes the quantile NaN
 
 
 @dataclass(frozen=True)
@@ -100,7 +121,7 @@ class QuantileEstimate:
                 stacklevel=2,
             )
         return cls(
-            value=float(np.quantile(samples, level)),
+            value=float(type7_quantile(samples, level)),
             level=level,
             source="monte-carlo",
             std_error=batch_quantile_std_error(samples, level),
@@ -127,7 +148,7 @@ def batch_quantile_std_error(samples: np.ndarray, level: float, n_batches: int =
         raise DomainError("too few samples for batch-means error")
     usable = n - n % n_batches
     parts = samples[:usable].reshape(n_batches, -1)
-    qs = np.quantile(parts, level, axis=1)
+    qs = type7_quantile(parts, level, axis=1)
     return float(np.std(qs, ddof=1) / math.sqrt(n_batches))
 
 
@@ -500,9 +521,15 @@ def bridge_quantiles(
 # ---------------------------------------------------------------------------
 
 def _cone_exit_worker(args) -> np.ndarray:
-    seed, stream_id, batch_index, size, grid, delta, slopes = args
+    seed, stream_id, batch_index, size, grid, delta, slopes, buffers = args
     g = RngStream(seed, stream_id).child(batch_index).generator()
-    z = g.standard_normal((size, grid), dtype=np.float32)
+    # each worker thread draws every batch into one buffer of its own: a
+    # fresh array per batch paid its page faults again (0.37 s against 0.30 s)
+    z = getattr(buffers, "z", None)
+    if z is None or len(z) < size:
+        z = buffers.z = np.empty((size, grid), dtype=np.float32)
+    z = z[:size]
+    g.standard_normal(out=z, dtype=np.float32)  # the same draws as a fresh (size, grid) array
     np.cumsum(z, axis=1, out=z)
     mx = z.max(axis=1)
     mn = z.min(axis=1)
@@ -555,8 +582,9 @@ def mc_cone_exit_probability(
         raise DomainError("delta must be positive")
     slopes = tuple(float(s) for s in np.atleast_1d(slopes))
     sizes = batch_sizes(paths, batch)
+    buffers = threading.local()  # the workers' draw buffers, freed on return
     args = [
-        (rng.seed, rng.stream_id, i, size, grid, delta, slopes)
+        (rng.seed, rng.stream_id, i, size, grid, delta, slopes, buffers)
         for i, size in enumerate(sizes)
     ]
     parts = run_batches(_cone_exit_worker, args, threads)

@@ -5,10 +5,13 @@ repr writes it, the shortest decimal that round-trips, SVG uses 9
 significant digits, JSON is emitted with sorted keys, and nothing embeds
 timestamps.  The CSV text comes from the decimal writer `data.csv_lines`,
 which formats a block of rows with numpy and hands repr only the values it
-cannot certify; the SVG's points are formatted a block at a time by one
-template.  The CSV and SVG writers stream their text to the file in blocks
-of `WRITE_ROWS` rows, so what they hold at once does not grow with the row
-count.
+cannot certify.  The SVG's polygon and polyline points come from its 9-digit
+counterpart `data.g9_points`, which writes format(v, ".9g")'s text with
+numpy and hands format() only ties and near-ties, zeros, subnormals, NaN,
+the infinities and values that need exponent notation; the few other
+numbers of the SVG (frame, axes, ticks) are formatted one at a time.  The
+CSV and SVG writers stream their text to the file in blocks of `WRITE_ROWS`
+rows, so what they hold at once does not grow with the row count.
 """
 from __future__ import annotations
 
@@ -23,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .bands import ConfidenceBand
-from .data import WRITE_ROWS, csv_lines
+from .data import WRITE_ROWS, csv_lines, g9_points
 from .plotsets import PlotSet
 
 MANIFEST_NAME = "run_manifest.json"
@@ -138,18 +141,6 @@ def _fmt(v: float) -> str:
     return f"{v:.9g}"
 
 
-_POINT_FMT = "{:.9g},{:.9g}"  # one polygon or polyline point, in pixels
-
-
-def _points_text(px: np.ndarray, py: np.ndarray) -> str:
-    """The points of one block as "x,y" pairs joined by spaces, made by one
-    template for the whole block (a format call per point took 14% longer)."""
-    xy = np.empty(2 * len(px))
-    xy[0::2] = px
-    xy[1::2] = py
-    return " ".join([_POINT_FMT] * len(px)).format(*xy.tolist())
-
-
 def _svg_pieces(
     plot: PlotSet,
     bands: Sequence[ConfidenceBand],
@@ -193,7 +184,7 @@ def _svg_pieces(
         """The points attribute of a polygon or polyline, one piece per (x, y) block."""
         sep = ""
         for px, py in pairs:
-            yield sep + _points_text(sx(px), sy(py))
+            yield sep + g9_points(sx(px), sy(py))
             sep = " "
 
     yield (

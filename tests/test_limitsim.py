@@ -1,5 +1,6 @@
 import math
 import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -18,7 +19,9 @@ from tailband.limitsim import (
     mc_cone_exit_probability,
     qq_sup_quantile,
     reflection_exit_probability,
+    type7_quantile,
     _bridge_functional_worker,
+    _cone_exit_worker,
     _image_series,
     _window_start,
     check_bridge_resolution,
@@ -176,6 +179,20 @@ def test_quantile_estimate_invariants():
         QuantileEstimate(1.0, 0.5, "monte-carlo", std_error=0.0)
     with pytest.raises(DomainError):
         QuantileEstimate(1.0, 1.5, "series")
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 1000])
+def test_type7_quantile_matches_np_quantile_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    samples = rng.standard_normal((3, n)) * np.exp(rng.uniform(-5, 5, (3, 1)))
+    samples[2, n // 2] = np.nan  # a NaN draw makes its row's quantile NaN
+    levels = [0.0, 1e-9, 0.05, 0.5, 0.9, 0.95, 0.975, 0.99, 0.995, 1 - 1e-12, 1.0, *rng.uniform(0, 1, 20)]
+    for level in levels:
+        expected = np.quantile(samples, level, axis=1)
+        assert type7_quantile(samples, level, axis=1).tobytes() == expected.tobytes(), level
+        for row in samples:
+            assert float(type7_quantile(row, level)).hex() == float(np.quantile(row, level)).hex(), level
+            assert float(type7_quantile(row.tolist(), level)).hex() == float(np.quantile(row, level)).hex()
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +398,18 @@ def test_mc_cone_exit_thread_invariance():
     p1 = mc_cone_exit_probability([1.0, 2.0], 1.0, paths=4096, grid=500, rng=RngStream(9), threads=1)
     p2 = mc_cone_exit_probability([1.0, 2.0], 1.0, paths=4096, grid=500, rng=RngStream(9), threads=2)
     assert p1.tolist() == p2.tolist()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_mc_cone_exit_reused_buffers_draw_as_fresh_arrays(threads):
+    # batches of 2048, 2048 and 904 paths: the last draws into the front of
+    # a worker's buffer.  The reference gives each batch a buffer of its own.
+    slopes, grid, rng = (1.0, 2.0), 300, RngStream(12)
+    fresh = [_cone_exit_worker((rng.seed, rng.stream_id, i, size, grid, 1.0, slopes, threading.local()))
+             for i, size in enumerate(batch_sizes(5000, 2048))]
+    expected = np.sum(np.stack(fresh, axis=0), axis=0) / 5000
+    p = mc_cone_exit_probability(slopes, 1.0, paths=5000, grid=grid, rng=rng, threads=threads)
+    assert p.tobytes() == expected.tobytes()
 
 
 @pytest.mark.slow

@@ -208,20 +208,20 @@ def test_svg_renderer_matches_per_point_renderer(monkeypatch, tmp_path):
         )
     # the file keeps 9 digits, which hide a last-bit change in a pixel
     # coordinate: compare the coordinates at full precision as well
-    monkeypatch.setattr(outputs, "_POINT_FMT", "{!r},{!r}")
+    monkeypatch.setattr(outputs, "g9_points", lambda x, y: " ".join(map("{!r},{!r}".format, x.tolist(), y.tolist())))
     for plot, case_bands, slope, title in cases:
         new = _svg_text(tmp_path / "p.svg", plot, case_bands, slope, title)
         assert new == _per_point_svg(plot, case_bands, slope, title, coord=lambda v: repr(float(v)))
 
 
-def test_svg_block_template_matches_per_point_format():
+def test_svg_point_writer_matches_per_point_format():
     # -0.0, subnormals, 1e308, integer-valued floats, and random pixels
     rng = np.random.default_rng(17)
     pixels = rng.uniform(-20.0, 880.0, 2 * 2048)
     for x, y in [(_EDGE_FLOATS, _EDGE_FLOATS[::-1]), (-_EDGE_FLOATS, _EDGE_FLOATS), (pixels[0::2], pixels[1::2]),
                  (np.array([-0.0]), np.array([5e-324]))]:
-        expected = " ".join(map(outputs._POINT_FMT.format, x.tolist(), y.tolist()))
-        assert outputs._points_text(x, y) == expected
+        expected = " ".join(map("{:.9g},{:.9g}".format, x.tolist(), y.tolist()))
+        assert outputs.g9_points(x, y) == expected
 
 
 def test_sample_writer_matches_per_value_writer(tmp_path):

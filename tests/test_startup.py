@@ -33,10 +33,10 @@ def _heavy_sample(tmp_path):
     return f
 
 
-def _loaded(argv, tmp_path):
-    """(exit code, the ON_DEMAND modules loaded) of one `tailband` command run
-    in a fresh interpreter.  The interpreter sees two usable CPUs, so that
-    --threads 2 starts a pool on any host."""
+def _loaded(argv, tmp_path, modules=ON_DEMAND):
+    """(exit code, the modules of `modules` loaded) of one `tailband` command
+    run in a fresh interpreter.  The interpreter sees two usable CPUs, so
+    that --threads 2 starts a pool on any host."""
     script = (
         "import os, sys\n"
         "os.sched_getaffinity = lambda pid: {0, 1}\n"
@@ -45,7 +45,7 @@ def _loaded(argv, tmp_path):
         "    code = tailband.cli.main(sys.argv[1:])\n"
         "except SystemExit as exc:\n"
         "    code = exc.code\n"
-        f"print(code, sorted(m for m in {ON_DEMAND!r} if m in sys.modules), file=sys.stderr)\n"
+        f"print(code, sorted(m for m in {tuple(modules)!r} if m in sys.modules), file=sys.stderr)\n"
     )
     proc = _run(argv, tmp_path, script=script)
     code, loaded = proc.stderr.splitlines()[-1].split(" ", 1)
@@ -67,6 +67,23 @@ def test_heavy_me_band_on_two_threads_loads_every_on_demand_layer(tmp_path):
           "--paths", 1000, "--grid", 1024, "--threads", 2, "--outdir", tmp_path / "o"]
     assert _loaded(me, tmp_path) == (0, repr(sorted(ON_DEMAND)))
     assert json.loads((tmp_path / "o" / "meta.json").read_text())["regime"] == "me-gt-half"
+
+
+def test_workload_commands_do_not_load_numpy_ma(tmp_path):
+    # the benchmark's two commands at small sizes.  np.unique and
+    # np.quantile check for masked arrays, which imports all of numpy.ma
+    # (about 10 ms of CPU) on their first call.
+    f = tmp_path / "s.txt"
+    f.write_text("".join(f"{(i + 1) ** 0.5!r}\n" for i in range(2000)))
+    qq = ["analyze", f, "--plot", "qq", "--k", "200", "--eps", "0.05", "--band", "--svg", "p.svg",
+          "--outdir", tmp_path / "qq"]
+    me = ["analyze", _heavy_sample(tmp_path), "--plot", "me", "--k", 300, "--eps", 0.1, "--band", "--xi", 0.7,
+          "--multi-alpha", "--paths", 1000, "--grid", 1024, "--threads", 2, "--seed", 7, "--svg", "p.svg",
+          "--outdir", tmp_path / "me"]
+    for argv, out in ((qq, "qq"), (me, "me")):
+        assert _loaded(argv, tmp_path, ["numpy.ma"]) == (0, "[]")
+        assert (tmp_path / out / "p.svg").exists()
+    assert len(json.loads((tmp_path / "me" / "meta.json").read_text())["band_levels"]) == 3
 
 
 def test_in_process_main_leaves_the_collector_alone(tmp_path):
