@@ -501,9 +501,8 @@ class _WriterTables(NamedTuple):
     scale_lo: np.ndarray
     k_of_exponent: np.ndarray  # k + 1 by the exponent field of |v|, 0 where no value is written by the kernel
     half_ulp: np.ndarray  # ulp/2 of a normal double by its exponent field
-    group_text: np.ndarray  # the four ASCII digits of 0..9999 as one uint32
+    group_text: np.ndarray  # the four ASCII digits of 0..9999 as one uint32, then variants (see _LEADING)
     group_zeros: np.ndarray  # their trailing zeros
-    group_variants: np.ndarray  # group_text, then its variants with zeros as NUL (see _LEADING)
     k9_of_exponent: np.ndarray  # k + 1 for the 9-digit writer by the exponent field, 0 where it declines
     layout: np.ndarray  # the source-row byte of each text byte, by layout key
     text_length: np.ndarray  # the text's length, by layout key
@@ -537,7 +536,7 @@ def _writer_tables() -> _WriterTables:
     variants = variants.view(np.uint32).ravel()
     layout = _build_layout()
     return _WriterTables(scale, scale_hi, scale - scale_hi, k_of_exponent, np.ldexp(1.0, e - 53),
-                         variants[:_LEADING], group_zeros.astype(np.intp).ravel(), variants, k9_of_exponent, layout,
+                         variants, group_zeros.astype(np.intp).ravel(), k9_of_exponent, layout,
                          np.count_nonzero(layout != _NUL, axis=1))
 
 
@@ -788,12 +787,12 @@ def _g9_rows(v: np.ndarray, ends: np.ndarray) -> np.ndarray:
     cells = rows[:, 1:point].view(np.uint32)
     zero = np.ones(v.size, bool)  # every group written so far is 0
     for i, g in enumerate(_groups(whole.astype(np.int64), int_groups)):
-        cells[:, i] = t.group_variants[g + zero * (_LONE_ZERO if i == int_groups - 1 else _LEADING)]
+        cells[:, i] = t.group_text[g + zero * (_LONE_ZERO if i == int_groups - 1 else _LEADING)]
         zero &= g == 0
     cells = rows[:, point + 1:point + 1 + 4 * frac_groups].view(np.uint32)
     zero[:] = True
     for i, g in reversed(list(enumerate(_groups(N.astype(np.int64), frac_groups)))):
-        cells[:, i] = t.group_variants[g + zero * _TRAILING]
+        cells[:, i] = t.group_text[g + zero * _TRAILING]
         zero &= g == 0
     rows[:, point] = ~zero * np.uint8(ord("."))
     rows[:, -1] = ends
