@@ -15,13 +15,23 @@ if "numpy" not in sys.modules:
 
 __version__ = "0.1.0"
 
-from .data import (  # noqa: E402, F401
-    OrderedSample,
-    TailIndexEstimate,
-    empirical_me,
-    fixed_xi,
-    hill_estimate,
-    ingest,
-    write_sample_file,
-)
-from .rng import RngStream  # noqa: E402, F401
+# The package's names, each loaded from its layer on first use, so that
+# importing tailband (as `tailband --help` does) loads no numpy.
+_LAYER_OF = {
+    "OrderedSample": "data",
+    "TailIndexEstimate": "data",
+    "empirical_me": "data",
+    "fixed_xi": "data",
+    "hill_estimate": "data",
+    "ingest": "data",
+    "write_sample_file": "data",
+    "RngStream": "rng",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAYER_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    return getattr(import_module(f".{_LAYER_OF[name]}", __name__), name)

@@ -405,7 +405,7 @@ def coverage_experiment(
             raise DomainError("ME coverage experiment supports the xi < 1/2 regime")
         span = max(0.12, 12.0 * dist.xi / math.sqrt(cfg.k))
         lo = max(0.02, dist.xi - span)
-        hi = min(0.47, dist.xi + span)
+        hi = min(_BOUNDARY_LO, dist.xi + span)
         xi_grid = np.linspace(lo, hi, 41)
         table = BandQuantileTable.build(
             xi_grid,

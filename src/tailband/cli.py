@@ -12,11 +12,13 @@ command reproduces the outputs byte for byte.  Exit codes: 0 success,
 2 usage/domain error or a size too large for memory (one-line diagnostic
 on stderr), 1 internal error.
 
-A layer that only some commands run (the simulation laws and the
-sum-over-max inverter in distributions and cfinversion, the thread pool) is
-imported inside the function that needs it, which reads the names from
-their module each time it runs (no module-level alias, so a patched module
-attribute is seen); a QQ run neither compiles nor loads those layers.
+The analysis layers are imported inside the function that needs them,
+which reads the names from their module each time it runs (no module-level
+alias, so a patched module attribute is seen).  Arguments are parsed before
+any layer loads, so --help, --version and a usage error load no numpy; a
+layer that only some commands run (the simulation laws and the sum-over-max
+inverter in distributions and cfinversion, the thread pool) is not loaded
+by a QQ run either.
 """
 from __future__ import annotations
 
@@ -30,25 +32,17 @@ import sys
 import warnings
 from collections import Counter
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .bands import CoverageDistribution, build_bands, coverage_experiment
-from .data import FIXED, TailIndexEstimate, fixed_xi, hill_estimate, ingest, write_sample_file
 from .errors import DomainError, RegimeMismatch, TailbandError
-from .limitsim import QuantileEstimate, bridge_quantiles, qq_sup_quantile
-from .outputs import (
-    MANIFEST_NAME,
-    json_dumps,
-    write_band_csv,
-    write_json,
-    write_plot_csv,
-    write_plot_svg,
-    write_run_manifest,
-)
-from .plotsets import ME, QQ, PlotConfig, me_set, qq_set
-from .rng import RngStream
+
+if TYPE_CHECKING:
+    from .limitsim import QuantileEstimate
 
 MULTI_ALPHAS = (0.01, 0.05, 0.10)
+# plotsets.QQ and plotsets.ME, spelled out so that the parser loads no numpy
+_PLOTS = ("qq", "me")
 
 
 def _int_arg(lo: int, hi: int | None = None):
@@ -119,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="sample file")
     p.add_argument("--format", choices=["plain", "csv-column"], default="plain")
     p.add_argument("--column", type=_int_arg(0), default=0, help="0-based column for csv-column input")
-    p.add_argument("--plot", choices=[QQ, ME], required=True)
+    p.add_argument("--plot", choices=_PLOTS, required=True)
     p.add_argument("--k", type=int, required=True, help="number of upper order statistics")
     p.add_argument("--eps", type=float, required=True, help="truncation level")
     p.add_argument("--alpha", type=float, default=0.05, help="band miss probability")
@@ -156,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xi", type=float, required=True)
     p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--plot", choices=[QQ, ME], default=QQ)
+    p.add_argument("--plot", choices=_PLOTS, default="qq")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--alpha", type=float, default=0.05)
@@ -190,6 +184,9 @@ def cmd_simulate(args: argparse.Namespace, argv: list[str]) -> int:
         sample_pareto,
         sample_stable,
     )
+    from .data import write_sample_file
+    from .outputs import write_run_manifest
+    from .rng import RngStream
 
     seed = _seed_of(args)
     stream = RngStream(seed)
@@ -217,10 +214,19 @@ def cmd_simulate(args: argparse.Namespace, argv: list[str]) -> int:
 
 
 def _quantile_payload(q: QuantileEstimate | float) -> dict | float:
+    from .limitsim import QuantileEstimate
+
     return q.as_dict() if isinstance(q, QuantileEstimate) else q
 
 
 def cmd_analyze(args: argparse.Namespace, argv: list[str]) -> int:
+    from .bands import build_bands
+    from .data import FIXED, TailIndexEstimate, fixed_xi, hill_estimate, ingest
+    from .limitsim import bridge_quantiles
+    from .outputs import MANIFEST_NAME, write_band_csv, write_json, write_plot_csv, write_plot_svg, write_run_manifest
+    from .plotsets import QQ, PlotConfig, me_set, qq_set
+    from .rng import RngStream
+
     seed = _seed_of(args)
     stream = RngStream(seed)
     outdir = Path(args.outdir)
@@ -317,6 +323,8 @@ def _cache_lookup(cache_file: Path, key: str) -> QuantileEstimate | None:
     """The cached estimate under key, or None.  A row of the key that is cut
     short or does not parse (a crash mid-write, a hand edit) is a miss, so the
     value is recomputed and a good row appended after it."""
+    from .limitsim import QuantileEstimate
+
     if not cache_file.exists():
         return None
     prefix = key + ","
@@ -352,6 +360,10 @@ def _cache_store(cache_file: Path, key: str, est: QuantileEstimate) -> None:
 
 
 def cmd_quantiles(args: argparse.Namespace, argv: list[str]) -> int:
+    from .limitsim import bridge_quantiles, qq_sup_quantile
+    from .outputs import json_dumps, write_run_manifest
+    from .rng import RngStream
+
     seed = _seed_of(args)
     stream = RngStream(seed)
     functional = args.functional
@@ -429,6 +441,11 @@ def cmd_quantiles(args: argparse.Namespace, argv: list[str]) -> int:
 
 
 def cmd_coverage(args: argparse.Namespace, argv: list[str]) -> int:
+    from .bands import CoverageDistribution, coverage_experiment
+    from .outputs import MANIFEST_NAME, json_dumps, write_json, write_run_manifest
+    from .plotsets import PlotConfig
+    from .rng import RngStream
+
     seed = _seed_of(args)
     stream = RngStream(seed)
     dist = CoverageDistribution(args.dist, args.xi, args.beta)
@@ -478,18 +495,22 @@ def _print_warning(message, category, filename, lineno, file=None, line=None) ->
 
 
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        # Entered as a process (`python -m tailband.cli`, the `tailband`
-        # script): move the ~22,000 objects that import leaves into the
-        # permanent generation, so that neither the collections during the
-        # run nor the one at interpreter exit walk them again.  Teardown of
-        # a QQ run falls from about 22 ms of CPU to 4-6 ms.  A caller that
-        # passes argv (tests, notebooks, perfbench/traced.py) owns its
-        # process and keeps its collector as it was.
-        gc.freeze()
+    process = argv is None
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(argv)
+    if process:
+        # Entered as a process (`python -m tailband.cli`, the `tailband`
+        # script): load the layers every command reads, then move the
+        # ~22,000 objects that import leaves into the permanent generation,
+        # so that neither the collections during the run nor the one at
+        # interpreter exit walk them again.  Teardown of a QQ run falls from
+        # about 22 ms of CPU to 4-6 ms.  A caller that passes argv (tests,
+        # notebooks, perfbench/traced.py) owns its process and keeps its
+        # collector as it was.
+        from . import bands, data, limitsim, outputs, plotsets, rng  # noqa: F401
+
+        gc.freeze()
     handlers = {
         "simulate": cmd_simulate,
         "analyze": cmd_analyze,

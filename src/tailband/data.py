@@ -479,38 +479,28 @@ WRITE_ROWS = 2048
 # 0.55 < h < 11.2, the shortest decimal has 17 digits unless the nearest
 # multiple of 10 lies within h (16 digits), and it is shorter still only if
 # the nearest multiple of 100 lies within h.  At most one multiple of 100
-# does, so that candidate is the answer and its trailing zeros fix the
-# digit count.  A value within 1e-9 of a tie or of an interval edge, a
-# power of two whose decimal is not exact in 15 digits, |v| outside
-# [1e-6, 1e17), NaN and the infinities are declined and written by repr.
-_TEXT_WIDTH = 24  # the longest repr: "-1.2345678901234567e-308"
-_MIN_DECPT, _MAX_DECPT = -5, 18  # where the decimal point of a written value falls
-_DECPTS = _MAX_DECPT - _MIN_DECPT + 1
-_REPR_KEY = 17 * _DECPTS * 2  # the layout of a row that holds repr's text
-# A value's source row: its 17 digits in bytes 3..19 (written as five
-# 4-byte groups, the first holding "000" and the leading digit), then the
-# characters that the layout adds.
-_ALPHABET = b"-.e+0123456789\0\0"
-_SOURCE_BYTES = 20 + len(_ALPHABET)
-_FIRST_DIGIT, _DASH, _POINT, _E, _PLUS, _ZERO, _NUL = 3, 20, 21, 22, 23, 24, 34
+# does, so that candidate is the answer; its trailing zeros are dropped
+# with the fraction's.  repr writes it in fixed notation, with ".0" on an
+# integer, for 1e-4 <= |v| < 1e16.  A value within 1e-9 of a tie or of an
+# interval edge, a power of two whose decimal is not exact in 15 digits,
+# every value that repr writes in exponent notation, NaN and the infinities
+# are declined and written by repr.
 
 
 class _WriterTables(NamedTuple):
     scale: np.ndarray  # 10**k at index k + 1, for k = -1..23
     scale_hi: np.ndarray  # its Veltkamp halves
     scale_lo: np.ndarray
+    pow10: np.ndarray  # 10**i as an int64, for i = 0..17
     k_of_exponent: np.ndarray  # k + 1 by the exponent field of |v|, 0 where no value is written by the kernel
     half_ulp: np.ndarray  # ulp/2 of a normal double by its exponent field
     group_text: np.ndarray  # the four ASCII digits of 0..9999 as one uint32, then variants (see _LEADING)
-    group_zeros: np.ndarray  # their trailing zeros
     k9_of_exponent: np.ndarray  # k + 1 for the 9-digit writer by the exponent field, 0 where it declines
-    layout: np.ndarray  # the source-row byte of each text byte, by layout key
-    text_length: np.ndarray  # the text's length, by layout key
 
 
 @functools.cache
 def _writer_tables() -> _WriterTables:
-    """The decimal writer's tables, built with numpy on first use (about
+    """The decimal writers' tables, built with numpy on first use (about
     1 ms, which import does not pay)."""
     # the ends of scale only serve the test that moves k: 10**23 and 0.1 are not exact
     scale = 10.0 ** np.arange(-1, 24)
@@ -521,67 +511,27 @@ def _writer_tables() -> _WriterTables:
     # for |e| < 93
     e = np.arange(-1023, 1025)
     e10 = np.floor(e * np.log10(2.0))
-    k_of_exponent = np.where((e >= -20) & (e <= 56), 17 - e10, 0).astype(np.intp)
+    k_of_exponent = np.where((e >= -14) & (e <= 53), 17 - e10, 0).astype(np.intp)
     k9_of_exponent = np.where((e10 >= -5) & (e10 <= 8), 9 - e10, 0).astype(np.intp)
     # the digits of 0..9999 on a (10, 10, 10, 10) grid
     digits = [np.arange(10).reshape([10 if i == j else 1 for j in range(4)]) for i in range(4)]
     text = np.stack(np.broadcast_arrays(*digits), axis=-1).reshape(-1, 4).astype(np.uint8) + ord("0")
-    group_zeros = (digits[3] == 0) * (1 + (digits[2] == 0) * (1 + (digits[1] == 0) * (1 + (digits[0] == 0))))
     # a digit is NUL in a variant when it is a leading (or trailing) zero
     leading = np.logical_or.accumulate(text != ord("0"), axis=1)
     lone_zero = leading.copy()
     lone_zero[0, 3] = True
     trailing = np.logical_or.accumulate(text[:, ::-1] != ord("0"), axis=1)[:, ::-1]
     variants = np.stack([text, text * leading, text * lone_zero, text * trailing]).astype(np.uint8)
-    variants = variants.view(np.uint32).ravel()
-    layout = _build_layout()
-    return _WriterTables(scale, scale_hi, scale - scale_hi, k_of_exponent, np.ldexp(1.0, e - 53),
-                         variants, group_zeros.astype(np.intp).ravel(), k9_of_exponent, layout,
-                         np.count_nonzero(layout != _NUL, axis=1))
+    return _WriterTables(scale, scale_hi, scale - scale_hi, 10 ** np.arange(18, dtype=np.int64),
+                         k_of_exponent, np.ldexp(1.0, e - 53), variants.view(np.uint32).ravel(), k9_of_exponent)
 
 
-def _build_layout() -> np.ndarray:
-    """For each layout key ((17 - digits) * _DECPTS + decpt - _MIN_DECPT) * 2
-    + sign, the source-row byte of each of the _TEXT_WIDTH text bytes
-    (_NUL past the end).  The text is repr's: fixed notation for
-    -4 < decpt <= 16 with ".0" on an integer, otherwise d.ddde+XX.  The last
-    key copies a row that holds repr's text."""
-    nd = 17 - np.arange(17)[:, None, None, None]  # significant digits
-    dp = np.arange(_MIN_DECPT, _MAX_DECPT + 1)[None, :, None, None]
-    neg = np.arange(2)[None, None, :, None]
-    w = np.arange(_TEXT_WIDTH) - neg  # text position after the sign
-    digit = _FIRST_DIGIT + w  # the digit at w, where digits start at w = 0
-    large = (dp >= 1) & (dp <= 16)  # ddd.ddd, or ddd000.0
-    small = (dp >= -3) & (dp <= 0)  # 0.000ddd
-    sci = ~large & ~small
-    mant = nd + (nd > 1)  # d or d.ddd before the "e"
-    e = np.abs(dp - 1)
-    cases = [
-        (neg.astype(bool) & (w == -1), _DASH),
-        (large & (w < dp) & (w < nd), digit),
-        (large & (w < dp), _ZERO),
-        (large & (w == dp), _POINT),
-        (large & (w > dp) & (w <= nd), digit - 1),
-        (large & (w == dp + 1) & (nd <= dp), _ZERO),
-        (small & (w == 1), _POINT),
-        (small & (w < 2 - dp), _ZERO),
-        (small & (w < 2 - dp + nd), digit - 2 + dp),
-        (sci & (w == 0), digit),
-        (sci & (w == 1) & (nd > 1), _POINT),
-        (sci & (w < mant), digit - 1),
-        (sci & (w == mant), _E),
-        (sci & (w == mant + 1), np.where(dp > 1, _PLUS, _DASH)),
-        (sci & (w == mant + 2), _ZERO + e // 10),
-        (sci & (w == mant + 3), _ZERO + e % 10),
-    ]
-    layout = np.select(*zip(*cases), _NUL).reshape(-1, _TEXT_WIDTH)
-    return np.vstack([layout, np.arange(_TEXT_WIDTH)])
-
-
-def _source_rows(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The source row and the layout key of each value of the float64 array
-    v (see the decimal writer above); a declined value's row holds repr's
-    text under _REPR_KEY."""
+def _source_rows(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(D, decpt, ok) for the float64 array v: where ok, repr(v) writes |v|
+    as D * 10**(decpt - 17) in fixed notation, with D an int64 of 17 digits
+    or 0 whose trailing zeros it drops, and -3 <= decpt <= 16 (see the
+    decimal writer above).  A declined value's D is in range for the digit
+    arithmetic."""
     t = _writer_tables()
     bits = v.view(np.int64)
     exponent = (bits >> 52) & 0x7FF
@@ -637,77 +587,58 @@ def _source_rows(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     np.copyto(step, 100 * (t100 > 50) - r100, where=within100)
     del f, r100, t100, r10, t10, within100, within10
     lower += step
-    carry = lower >= 100_000_000
-    upper += carry
-    lower -= carry * 100_000_000
-    top = upper == 1_000_000_000  # rounded up to 10**17: one digit more before the point
+    D = upper * 100_000_000
+    D += lower  # a carry out of the last 8 digits is a carry into the first 9
+    top = D == 10**17  # rounded up to 10**17: one digit more before the point
     decpt = 18 - k1 + top
-    upper[top] = 100_000_000
-    del step, carry, top, k1
+    D[top] = 10**16
+    del upper, lower, step, top, k1
     zero = (bits << 1) == 0
     if zero.any():
-        upper[zero] = lower[zero] = 0
+        D[zero] = 0
         decpt[zero] = 1  # "0.0"
         ok |= zero
-    lead = upper // 100_000_000
-    upper -= lead * 100_000_000
-    groups = [lead, upper // 10_000, upper % 10_000, lower // 10_000, lower % 10_000]
-    rows = np.empty((v.size, _SOURCE_BYTES // 4), np.uint32)
-    for i, g in enumerate(groups):
-        rows[:, i] = t.group_text[g]
-    rows[:, 5:] = np.frombuffer(_ALPHABET, np.uint32)
-    zeros = t.group_zeros[groups[4]]  # trailing zeros of the digits
-    run = groups[4] == 0
-    for g in groups[3:0:-1]:
-        zeros += run * t.group_zeros[g]
-        run &= g == 0
-    key = zeros * _DECPTS
-    key += decpt - _MIN_DECPT
-    key *= 2
-    key += bits < 0
-    rows = rows.view(np.uint8)
-    declined = np.flatnonzero(~ok)
-    key[declined] = _REPR_KEY
-    for i in declined.tolist():
-        rows[i, :_TEXT_WIDTH] = np.frombuffer(repr(float(v[i])).encode().ljust(_TEXT_WIDTH, b"\0"), np.uint8)
-    return rows, key
+    ok &= (decpt >= -3) & (decpt <= 16)  # exponent notation goes to repr
+    return D, decpt, ok
 
 
-def _column_text(v: np.ndarray) -> np.ndarray:
-    """The text of each value of v, left-aligned in a row of NUL bytes as
-    wide as the longest: one take from the source rows by the layout."""
-    rows, key = _source_rows(np.ascontiguousarray(v, dtype=np.float64))
+def _repr_rows(v: np.ndarray, ends) -> np.ndarray:
+    """One row of bytes per value of the float64 array v: repr(v), then its
+    byte of ends, padded with NULs (see `_fixed_rows`)."""
     t = _writer_tables()
-    index = t.layout[:, :t.text_length[key].max()][key]
-    index += np.arange(0, rows.size, _SOURCE_BYTES)[:, None]
-    return rows.ravel().take(index)
+    D, decpt, ok = _source_rows(v)
+    k = 17 - decpt  # the fraction's digits, 1..20
+    k[~ok] = k.max(initial=1, where=ok)
+    unit = t.pow10[np.minimum(k, 17)]
+    whole, fraction = np.divmod(D, unit)
+    # the fraction aligned left in 20 digits, as its first 12 and last 8
+    cut = t.pow10[np.maximum(k - 12, 0)]
+    hi, lo = np.divmod(fraction, cut)
+    hi *= t.pow10[np.maximum(12 - k, 0)]
+    lo *= t.pow10[np.minimum(20 - k, 8)]
+    int_groups = max(20 - int(k.min()), 4) // 4  # for 17 - k digits, and at least "0"
+    frac_groups = (_groups(hi, 3) + _groups(lo, 2))[:(int(k.max()) + 3) // 4]
+    return _fixed_rows(v, _groups(whole, int_groups), frac_groups, True, ok, repr, ends)
 
 
 def csv_lines(columns: Iterable[np.ndarray]) -> str:
     """The CSV lines of a block of rows, one float array per column: the
     same text as "".join(",".join(map(repr, row)) + "\n" for row in rows).
-    Columns with the same bytes are formatted once.  Each value's text
-    is padded with NULs to its column's width, and the padding is dropped
-    from the block's bytes at the end."""
+    Columns with the same bytes are formatted once.  Each value's text is
+    laid out in its column's fixed fields, and the NULs that pad them are
+    dropped from the block's bytes at the end."""
     columns = list(columns)
     if not columns or not len(columns[0]):
         return ""
-    texts: dict[bytes, np.ndarray] = {}
+    rows: dict[bytes, np.ndarray] = {}
     cells = []
     for col in columns:
         key = col.tobytes()
-        if key not in texts:
-            texts[key] = _column_text(col)
-        cells.append(texts[key])
-    block = np.empty((len(cells[0]), sum(c.shape[1] + 1 for c in cells)), np.uint8)
-    at = 0
-    for text in cells:
-        width = text.shape[1]
-        block[:, at:at + width] = text
-        block[:, at + width] = ord(",")
-        at += width + 1
+        if key not in rows:
+            rows[key] = _repr_rows(np.ascontiguousarray(col, dtype=np.float64), ord(","))
+        cells.append(rows[key])
+    block = np.concatenate(cells, axis=1)
     block[:, -1] = ord("\n")
-    del texts, cells, text
     return block.tobytes().translate(None, b"\0").decode("ascii")
 
 
@@ -723,12 +654,13 @@ def csv_lines(columns: Iterable[np.ndarray]) -> str:
 # then lowered by one where p >= 1e9, and once more where N rounds up to
 # 1e9.  Ties and near-ties, zeros, subnormals, NaN, the infinities and every
 # value that needs exponent notation are declined and written by format().
-# A value's row holds fixed fields: the sign, the integer part in 4-digit
-# groups aligned right, the point, the fraction in 4-digit groups aligned
-# left, and the byte that follows the value.  Its leading and trailing zeros,
-# and an unused sign or point, are NUL, which the block's bytes drop at the
-# end.  Each group's text is looked up in one of four variants of the
-# digit-group table, at these offsets:
+#
+# Both writers lay out a value's row in fixed fields: the sign, the integer
+# part in 4-digit groups aligned right, the point, the fraction in 4-digit
+# groups aligned left, and the byte that follows the value.  Its leading and
+# trailing zeros, and an unused sign or point, are NUL, which the block's
+# bytes drop at the end.  Each group's text is looked up in one of four
+# variants of the digit-group table, at these offsets:
 _LEADING = 10_000  # leading zeros as NUL, and 0 as four NULs
 _LONE_ZERO = 20_000  # leading zeros as NUL, but 0 as "0"
 _TRAILING = 30_000  # trailing zeros as NUL, and 0 as four NULs
@@ -765,6 +697,43 @@ def _groups(x: np.ndarray, count: int) -> list[np.ndarray]:
     return [x, *groups[::-1]] if count else []
 
 
+def _fixed_rows(v: np.ndarray, int_groups: list[np.ndarray], frac_groups: list[np.ndarray], point_zero: bool,
+                ok: np.ndarray, fmt, ends) -> np.ndarray:
+    """One row of bytes per value of the float64 array v, in the fixed fields
+    of the writers above: the sign of v, the integer part's base-10**4
+    digits int_groups, the point, the fraction's base-10**4 digits
+    frac_groups (aligned left), then its byte of ends.  A value without a
+    fraction is written without a point, or with ".0" if point_zero.  Where
+    ok is false, the row holds fmt(v) instead."""
+    t = _writer_tables()
+    declined = np.flatnonzero(~ok)
+    texts = [fmt(float(v[i])).encode() for i in declined.tolist()]
+    point = 1 + 4 * len(int_groups)
+    width = max([point + 4 * len(frac_groups) + 2] + [len(s) + 1 for s in texts])
+    rows = np.zeros((v.size, width), np.uint8)
+    rows[:, 0] = np.signbit(v) * np.uint8(ord("-"))
+    cells = rows[:, 1:point].view(np.uint32)
+    zero = np.ones(v.size, bool)  # every group written so far is 0
+    for i, g in enumerate(int_groups):
+        cells[:, i] = t.group_text[g + zero * (_LONE_ZERO if i == len(int_groups) - 1 else _LEADING)]
+        zero &= g == 0
+    cells = rows[:, point + 1:point + 1 + 4 * len(frac_groups)].view(np.uint32)
+    zero[:] = True
+    for i, g in reversed(list(enumerate(frac_groups))):
+        cells[:, i] = t.group_text[g + zero * _TRAILING]
+        zero &= g == 0
+    if point_zero:
+        rows[:, point] = ord(".")
+        rows[:, point + 1] += zero * np.uint8(ord("0"))
+    else:
+        rows[:, point] = ~zero * np.uint8(ord("."))
+    rows[:, -1] = ends
+    for i, s in zip(declined.tolist(), texts):
+        rows[i, :-1] = 0
+        rows[i, :len(s)] = np.frombuffer(s, np.uint8)
+    return rows
+
+
 def _g9_rows(v: np.ndarray, ends: np.ndarray) -> np.ndarray:
     """One row of bytes per value of the float64 array v: its text as
     format(v, ".9g") writes it, then its byte of ends, padded with NULs."""
@@ -773,33 +742,14 @@ def _g9_rows(v: np.ndarray, ends: np.ndarray) -> np.ndarray:
     declined = np.flatnonzero(~ok)
     N[declined] = 0.0  # keeps the digit arithmetic in range; the text is replaced
     k[declined] = k.max(initial=0, where=ok)
-    texts = [format(float(v[i]), ".9g").encode() for i in declined.tolist()]
-    int_groups = max(12 - int(k.min()), 4) // 4  # for 9 - k digits, and at least "0"
     frac_groups = (int(k.max()) + 3) // 4
-    point = 1 + 4 * int_groups
-    width = max([point + 4 * frac_groups + 2] + [len(s) + 1 for s in texts])
     unit = t.scale[k + 1]
     whole = np.floor(N / unit)  # exact: the quotient is at least 10**-k from the next integer
     N -= whole * unit
     N *= t.scale[4 * frac_groups - k + 1]  # the fraction's digits, aligned left
-    rows = np.zeros((v.size, width), np.uint8)
-    rows[:, 0] = np.signbit(v) * np.uint8(ord("-"))
-    cells = rows[:, 1:point].view(np.uint32)
-    zero = np.ones(v.size, bool)  # every group written so far is 0
-    for i, g in enumerate(_groups(whole.astype(np.int64), int_groups)):
-        cells[:, i] = t.group_text[g + zero * (_LONE_ZERO if i == int_groups - 1 else _LEADING)]
-        zero &= g == 0
-    cells = rows[:, point + 1:point + 1 + 4 * frac_groups].view(np.uint32)
-    zero[:] = True
-    for i, g in reversed(list(enumerate(_groups(N.astype(np.int64), frac_groups)))):
-        cells[:, i] = t.group_text[g + zero * _TRAILING]
-        zero &= g == 0
-    rows[:, point] = ~zero * np.uint8(ord("."))
-    rows[:, -1] = ends
-    for i, s in zip(declined.tolist(), texts):
-        rows[i, :-1] = 0
-        rows[i, :len(s)] = np.frombuffer(s, np.uint8)
-    return rows
+    int_groups = max(12 - int(k.min()), 4) // 4  # for 9 - k digits, and at least "0"
+    return _fixed_rows(v, _groups(whole.astype(np.int64), int_groups), _groups(N.astype(np.int64), frac_groups),
+                       False, ok, "{:.9g}".format, ends)
 
 
 def g9_points(x: np.ndarray, y: np.ndarray) -> str:

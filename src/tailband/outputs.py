@@ -5,11 +5,13 @@ repr writes it, the shortest decimal that round-trips, SVG uses 9
 significant digits, JSON is emitted with sorted keys, and nothing embeds
 timestamps.  The CSV text comes from the decimal writer `data.csv_lines`,
 which formats a block of rows with numpy and hands repr only the values it
-cannot certify.  The SVG's polygon and polyline points come from its 9-digit
-counterpart `data.g9_points`, which writes format(v, ".9g")'s text with
-numpy and hands format() only ties and near-ties, zeros, subnormals, NaN,
-the infinities and values that need exponent notation; the few other
-numbers of the SVG (frame, axes, ticks) are formatted one at a time.  The
+cannot certify and those repr writes in exponent notation.  The SVG's
+polygon and polyline points come from its 9-digit counterpart
+`data.g9_points`, which writes format(v, ".9g")'s text with numpy and hands
+format() only ties and near-ties, zeros, subnormals, NaN, the infinities
+and values that need exponent notation.  Both lay out their text in the
+same fixed-field rows (`data._fixed_rows`); the few other numbers of the
+SVG (frame, axes, ticks) are formatted one at a time.  The
 CSV and SVG writers stream their text to the file in blocks of `WRITE_ROWS`
 rows, so what they hold at once does not grow with the row count.
 """

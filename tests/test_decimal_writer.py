@@ -8,7 +8,15 @@ import pytest
 from tailband import data as data_module
 from tailband.bands import qq_band
 from tailband.data import WRITE_ROWS, csv_lines, g9_points, hill_estimate
-from tailband.distributions import sample_nonstd
+from tailband.distributions import (
+    SIMULATION,
+    GpdParams,
+    StableSpec,
+    sample_gpd,
+    sample_nonstd,
+    sample_pareto,
+    sample_stable,
+)
 from tailband.plotsets import PlotConfig, qq_set
 from tailband.rng import RngStream
 
@@ -27,9 +35,7 @@ def _reprs(values) -> str:
 
 def _fast_share(values) -> float:
     """The share of values the kernel writes without repr."""
-    values = np.ascontiguousarray(values)
-    keys = [data_module._source_rows(values[i:i + WRITE_ROWS])[1] for i in range(0, len(values), WRITE_ROWS)]
-    return float(np.mean(np.concatenate(keys) != data_module._REPR_KEY))
+    return float(data_module._source_rows(np.ascontiguousarray(values, dtype=float))[2].mean())
 
 
 def _near_ties(rng, n: int, digits: int) -> np.ndarray:
@@ -79,6 +85,20 @@ def test_fast_path_writes_nearly_every_value():
     families = _families()
     for family in ("uniform", "lognormal", "short decimals", "integers"):
         assert _fast_share(families[family]) > 0.99, family
+
+
+@pytest.mark.parametrize("law", ["nonstd", "pareto", "gpd", "stable"])
+def test_fast_path_writes_each_simulate_law(law):
+    # values that repr writes in exponent notation go to repr, which is
+    # cheap only while they are this rare in the files `simulate` writes
+    stream = RngStream(11)
+    sample = {
+        "nonstd": lambda: sample_nonstd(200_000, stream),
+        "pareto": lambda: sample_pareto(0.7, 200_000, stream),
+        "gpd": lambda: sample_gpd(GpdParams(0.3, 1.0), 200_000, stream),
+        "stable": lambda: sample_stable(StableSpec(alpha=1.25, skew=1.0, kind=SIMULATION), 200_000, stream),
+    }[law]()
+    assert _fast_share(sample.values) >= 0.999
 
 
 def test_writer_matches_repr_on_the_qq_columns():

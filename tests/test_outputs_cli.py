@@ -763,16 +763,18 @@ def test_analyze_me_multi_alpha_draws_one_path_set(sample_file, tmp_path, engine
 
 @pytest.mark.parametrize("plot, xi", [("qq", 0.25), ("me", 0.25), ("me", 0.7)])
 def test_analyze_builds_the_plot_once_for_every_band(sample_file, tmp_path, monkeypatch, plot, xi):
-    from tailband import bands, cli
+    from tailband import bands, outputs, plotsets
 
+    # cli reads each name from its module when the command runs
     built, drawn = [], []
-    for module in (cli, bands):
+    for module in (plotsets, bands):
         for name in ("qq_set", "me_set"):
             make = getattr(module, name)
             monkeypatch.setattr(module, name, lambda *a, make=make: built.append(make(*a)) or built[-1])
-    svg = cli.write_plot_svg
+    svg = outputs.write_plot_svg
     monkeypatch.setattr(
-        cli, "write_plot_svg", lambda path, base, found, **k: drawn.append((base, found)) or svg(path, base, found, **k)
+        outputs, "write_plot_svg",
+        lambda path, base, found, **k: drawn.append((base, found)) or svg(path, base, found, **k),
     )
     code = run_cli(
         "analyze", sample_file, "--plot", plot, "--k", 400, "--eps", 0.1, "--band", "--xi", xi, "--multi-alpha",
@@ -994,15 +996,16 @@ def test_coverage_me_plot_and_single_replication(tmp_path):
 
 
 def test_coverage_counts_a_replication_without_a_band_as_a_miss(tmp_path):
-    # near the regime boundary some Hill estimates fall off the shape table
-    # (clipped at 0.47) or inside [0.48, 0.52]; such a replication once
-    # aborted the whole run with exit 2
+    # near the regime boundary some Hill estimates fall inside [0.48, 0.52];
+    # such a replication once aborted the whole run with exit 2.  The shape
+    # table reaches 0.48, so an estimate just below it has its band.
     argv = ["coverage", "--plot", "me", "--xi", 0.45, "--n", 3000, "--k", 300, "--eps", 0.1,
             "--replications", 50, "--paths", 1000, "--grid", 1024, "--seed", 4]
     assert run_cli(*argv, "--outdir", tmp_path / "o") == 0
     report = json.loads((tmp_path / "o" / "report.json").read_text())
     refused = sum(report["refusals"].values())
     assert refused > 0 and set(report["refusals"]) <= {"UntabulatedShape", "RegimeBoundary", "MeanDoesNotExist"}
+    assert "UntabulatedShape" not in report["refusals"]
     assert report["coverage"] == sum(report["per_replication"]) / 50
     result = coverage_experiment(CoverageDistribution("pareto", 0.45), 3000, PlotConfig(300, 0.1), 50,
                                  RngStream(4), plot="me", n_paths=1000, grid_m=1024)

@@ -1,7 +1,9 @@
 """Deletion audit: every public top-level name in src/tailband, and every
 public method, property and annotated field of a public class there, is read
 by the program itself, by the acceptance gate or by the benchmark, or it is
-listed in TEST_ONLY with the reason it stays although only tests use it."""
+listed in TEST_ONLY with the reason it stays although only tests use it.
+Every private top-level name there is read by the program itself, or it is
+listed in PRIVATE_TEST_ONLY."""
 import ast
 from pathlib import Path
 
@@ -17,12 +19,16 @@ TEST_ONLY = {
         "the ME plot's fluctuation processes, checked against their limit laws in test_fluctuation_laws",
 }
 
+PRIVATE_TEST_ONLY = {
+    "data._ingest_lines": "the whole-file line loop that ingest is tested against",
+}
+
 
 def _parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
-def _public_names(tree: ast.Module) -> set[str]:
+def _top_level_names(tree: ast.Module) -> set[str]:
     names = set()
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -31,7 +37,17 @@ def _public_names(tree: ast.Module) -> set[str]:
             names.update(t.id for t in node.targets if isinstance(t, ast.Name))
         elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
             names.add(node.target.id)
-    return {n for n in names if not n.startswith("_")}
+    return names
+
+
+def _public_names(tree: ast.Module) -> set[str]:
+    return {n for n in _top_level_names(tree) if not n.startswith("_")}
+
+
+def _private_names(tree: ast.Module) -> set[str]:
+    """Private top-level names, but not dunders such as __version__, which
+    the interpreter and packaging read."""
+    return {n for n in _top_level_names(tree) if n.startswith("_") and not n.startswith("__")}
 
 
 def _public_members(tree: ast.Module) -> set[str]:
@@ -108,3 +124,14 @@ def test_every_public_name_is_reached():
     # an entry whose name is gone or is reached after all must leave the list
     stale = sorted(set(TEST_ONLY) - set(unreached))
     assert not stale, "TEST_ONLY entries no longer needed: " + ", ".join(stale)
+
+
+def test_every_private_name_is_read_by_the_program():
+    modules = {path.stem: _parse(path) for path in sorted(SRC.glob("*.py"))}
+    read = set().union(*map(_read_names, modules.values()))
+    unread = [f"{module}.{name}" for module, tree in modules.items()
+              for name in sorted(_private_names(tree)) if name not in read]
+    extra = [name for name in unread if name not in PRIVATE_TEST_ONLY]
+    assert not extra, "private names the program never reads: " + ", ".join(extra)
+    stale = sorted(set(PRIVATE_TEST_ONLY) - set(unread))
+    assert not stale, "PRIVATE_TEST_ONLY entries no longer needed: " + ", ".join(stale)

@@ -62,6 +62,17 @@ def test_qq_band_and_help_load_no_me_or_pool_layers(tmp_path):
     assert _loaded(["--help"], tmp_path) == (0, "[]")
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["--help"], 0),
+    (["--version"], 0),
+    (["analyze", "--help"], 0),
+    (["analyze", "s.txt", "--plot", "pp", "--k", "10", "--eps", "0.1", "--outdir", "o"], 2),
+    (["simulate", "--dist", "pareto"], 2),
+])
+def test_help_version_and_usage_errors_load_no_numpy(tmp_path, argv, code):
+    assert _loaded(argv, tmp_path, ["numpy", "tailband.data"]) == (code, "[]")
+
+
 def test_heavy_me_band_on_two_threads_loads_every_on_demand_layer(tmp_path):
     me = ["analyze", _heavy_sample(tmp_path), "--plot", "me", "--k", 300, "--eps", 0.1, "--band", "--xi", 0.7,
           "--paths", 1000, "--grid", 1024, "--threads", 2, "--outdir", tmp_path / "o"]
