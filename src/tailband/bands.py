@@ -10,8 +10,10 @@ Band recipes by regime:
 * ME with xi_hat < 1/2: per-point rectangles with horizontal half-width
   c / sqrt(k) and vertical half-width d / sqrt(k); c and d are Monte Carlo
   quantiles of the two bridge functionals.
-* ME with 1/2 < xi_hat < 1: the horizontal half-width is unchanged, while
-  the vertical interval at the point y_j with order-statistic index j is
+* ME with 1/2 < xi_hat < 1: the horizontal half-width is c / sqrt(k), with
+  c the exact quantile of the continuous supremum, solved as a first-passage
+  problem (limitsim.bridge_c_quantiles) without paths, while the vertical
+  interval at the point y_j with order-statistic index j is
   [y_j - s_j q_hi, y_j - s_j q_lo], with s_j = X_(1) / (j X_(k)) and q_lo,
   q_hi the alpha/2 and 1 - alpha/2 quantiles of the sum-over-max law S.
   The fluctuation is y_j - m_j = s_j S around the model point m_j, so the
@@ -37,6 +39,7 @@ from .limitsim import (
     DEFAULT_PATHS,
     QuantileEstimate,
     batch_quantile_std_error,
+    bridge_c_quantiles,
     bridge_functional_samples,
     check_bridge_resolution,
     qq_sup_quantile,
@@ -153,7 +156,8 @@ def me_band(
     level 1 - alpha/2, as limitsim.bridge_quantiles returns it.  Regime
     selection by the supplied shape: xi < 1/2 uses symmetric c/d
     rectangles; 1/2 < xi < 1 uses c for the horizontal half-width (d may
-    be None) and the skewed sum-over-max quantiles tilde, at levels
+    be None; build_bands takes c from limitsim.bridge_c_quantiles) and the
+    skewed sum-over-max quantiles tilde, at levels
     alpha/2 and 1 - alpha/2, scaled per point (build_bands finds those of
     all its bands in one search).
     """
@@ -212,13 +216,16 @@ def build_bands(
 
     An ME band's shape is checked first.  In the heavy regime one
     limit_quantile search then finds the sum-over-max quantiles of every
-    band, so a level it cannot resolve is refused before any path is drawn.
-    bridge(levels) then returns the (c, d) pair at each level 1 - alpha/2.
+    band, and bridge_c_quantiles their c quantiles by a first-passage solve:
+    no path is drawn and bridge is not called.  In the light regime
+    bridge(levels) returns the (c, d) pair at each level 1 - alpha/2, from
+    one path set.
     """
     band_cfgs = [PlotConfig(cfg.k, cfg.eps, a) for a in alphas]
     if plot.kind == QQ:
         return [qq_band(plot, band_cfg, xi) for band_cfg in band_cfgs]
     _refuse_me_shape(xi)
+    levels = [1.0 - band_cfg.alpha / 2.0 for band_cfg in band_cfgs]
     tildes = [None] * len(band_cfgs)
     if xi > 0.5:
         from .distributions import SUM_OVER_MAX, StableSpec, limit_quantile
@@ -226,7 +233,9 @@ def build_bands(
         spec = StableSpec(alpha=1.0 / xi, skew=1.0, kind=SUM_OVER_MAX)
         found = limit_quantile(spec, [p for a in alphas for p in (a / 2.0, 1.0 - a / 2.0)])
         tildes = [found[2 * i : 2 * i + 2] for i in range(len(band_cfgs))]
-    quantiles = bridge([1.0 - band_cfg.alpha / 2.0 for band_cfg in band_cfgs])
+        quantiles = [(c, None) for c in bridge_c_quantiles(xi, cfg.eps, levels)]
+    else:
+        quantiles = bridge(levels)
     return [
         me_band(sample, plot, band_cfg, xi, q, tilde)
         for band_cfg, q, tilde in zip(band_cfgs, quantiles, tildes)
@@ -424,7 +433,13 @@ def coverage_experiment(
         xi_hat = hill_estimate(sample, cfg.k).xi
         base = qq_set(sample, cfg) if plot == QQ else me_set(sample, cfg)
         try:
-            [band] = build_bands(sample, base, cfg, xi_hat, [cfg.alpha], lambda _: [table.lookup(xi_hat)])
+            pairs = None
+            if table is not None:
+                # the table holds light-regime shapes: a heavy estimate is
+                # untabulated, refused after the shapes build_bands refuses
+                _refuse_me_shape(xi_hat)
+                pairs = [table.lookup(xi_hat)]
+            [band] = build_bands(sample, base, cfg, xi_hat, [cfg.alpha], lambda _: pairs)
         except _REFUSALS as refusal:
             hits[rep] = False
             refusals.append((rep, type(refusal).__name__))

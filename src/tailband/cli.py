@@ -71,7 +71,7 @@ def _default_seed() -> int:
         raise DomainError(f"TAILBAND_SEED {exc}") from None
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, threads_help: str = "") -> None:
     p.add_argument(
         "--seed",
         type=_seed_arg,
@@ -82,8 +82,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         "--threads",
         type=_int_arg(1),
         default=1,
-        help="worker threads for Monte Carlo batches (capped at the batch count and the CPUs "
-        "the process may use; changes no output byte)",
+        help="worker threads for Monte Carlo batches" + threads_help + " (capped at the batch count and the "
+        "CPUs the process may use; changes no output byte)",
     )
 
 
@@ -126,12 +126,16 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FACTOR",
         help="inflate the estimated shape by FACTOR for band width",
     )
-    p.add_argument("--paths", type=_int_arg(1), default=10_000, help="Monte Carlo paths for ME quantiles")
-    p.add_argument("--grid", type=int, default=8192, help="bridge grid size")
+    p.add_argument(
+        "--paths", type=_int_arg(1), default=10_000,
+        help="Monte Carlo paths for the c and d quantiles of a light-regime (xi < 1/2) ME band; a heavy-regime "
+        "band solves c without paths",
+    )
+    p.add_argument("--grid", type=int, default=8192, help="bridge grid size of a light-regime ME band's paths")
     p.add_argument("--svg", default=None, metavar="FILE", help="also render an SVG")
     p.add_argument("--multi-alpha", action="store_true", help="shade bands at alpha 0.01/0.05/0.10")
     p.add_argument("--outdir", required=True)
-    _add_common(p)
+    _add_common(p, " of light-regime ME bands")
 
     p = sub.add_parser("quantiles", help="limit-functional quantiles")
     p.add_argument("--functional", choices=["qq-sup", "me-c", "me-d", "stilde"], required=True)
@@ -265,7 +269,7 @@ def cmd_analyze(args: argparse.Namespace, argv: list[str]) -> int:
     if args.band:
         alphas = sorted(MULTI_ALPHAS if args.multi_alpha else (cfg.alpha,))
         bands = build_bands(sample, plot, cfg, xi_est.xi, alphas, lambda levels: bridge_quantiles(
-            xi_est.xi, cfg.eps, levels, args.paths, args.grid, stream, args.threads, integral=xi_est.xi < 0.5
+            xi_est.xi, cfg.eps, levels, args.paths, args.grid, stream, args.threads
         ))
         primary = next(b for b in bands if abs((1.0 - b.level) - cfg.alpha) < 1e-12)
         meta["band_levels"] = [b.level for b in bands]
@@ -298,7 +302,9 @@ def cmd_analyze(args: argparse.Namespace, argv: list[str]) -> int:
 
 # Numerics revision of cached quantiles.  It is part of the cache file's name,
 # so rows computed by older numerics are never read: bump it whenever the
-# numerics behind a cached value change.  Revision 4 sums the Gil-Pelaez CDF
+# numerics behind a cached value, or the key it is stored under, change.
+# Revision 5 keys the shape by its repr: revision 4 wrote it to 4 decimals,
+# so a row served every shape that rounded alike.  Revision 4 sums the Gil-Pelaez CDF
 # without BLAS, which moves the last bits of stilde cf-inversion values and
 # their std_error (by about 1e-15 relative); revision 3 stops the sum-over-max
 # CF quadrature at t_max = 30 and integrates the CF's leading tail term
@@ -307,12 +313,12 @@ def cmd_analyze(args: argparse.Namespace, argv: list[str]) -> int:
 # hundreds to thousands, summed the Gil-Pelaez CDF in two rotor stages and
 # bisected it to 1e-9; revision 1 (the untagged quantile_cache.csv) took one
 # exponential per node and scipy's brentq.
-_CACHE_NUMERICS = 4
+_CACHE_NUMERICS = 5
 _CACHE_HEADER = "functional,xi,eps,level,paths,grid,seed,source,value,std_error,n_paths,grid_m"
 
 
 def _cache_key(args: argparse.Namespace, seed: int, paths: int, source: str) -> str:
-    xi = "" if args.xi is None else f"{args.xi:.4f}"
+    xi = "" if args.xi is None else repr(float(args.xi))
     eps = "" if args.eps is None else repr(float(args.eps))
     return ",".join(
         [args.functional, xi, eps, repr(float(args.level)), str(paths), str(args.grid), str(seed), source]

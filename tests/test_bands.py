@@ -18,7 +18,13 @@ from tailband.bands import (
 from tailband.data import OrderedSample, hill_estimate
 from tailband.distributions import SUM_OVER_MAX, StableSpec, limit_quantile, sample_pareto
 from tailband.errors import DomainError, MeanDoesNotExist, RegimeBoundary
-from tailband.limitsim import QuantileEstimate, bridge_functional_samples, bridge_quantiles, qq_sup_quantile
+from tailband.limitsim import (
+    QuantileEstimate,
+    bridge_c_quantiles,
+    bridge_functional_samples,
+    bridge_quantiles,
+    qq_sup_quantile,
+)
 from tailband.plotsets import PlotConfig, me_set, qq_set
 from tailband.rng import RngStream
 
@@ -139,7 +145,7 @@ def test_me_band_nesting_same_paths():
 def test_me_band_heavy_regime():
     s = sample_pareto(0.7, 20_000, RngStream(7))
     cfg = PlotConfig(1000, 0.1, 0.05)
-    [band] = build_bands(s, me_set(s, cfg), cfg, 0.7, [cfg.alpha], _paths(0.7, 0.1, RngStream(8), 2000, 1024))
+    [band] = build_bands(s, me_set(s, cfg), cfg, 0.7, [cfg.alpha], _no_paths)
     assert band.regime == "me-gt-half"
     # vertical interval shrinks like 1/j along the plot
     j = band.base.indices.astype(float)
@@ -185,13 +191,11 @@ def test_me_bands_heavy_regime_runs_one_quantile_search(monkeypatch):
     cfg = PlotConfig(1000, 0.1, 0.05)
     plot = me_set(s, cfg)
     alphas = [0.01, 0.05, 0.10]
-    drawn = []
-    paths = _paths(0.7, 0.1, RngStream(8), 1000, 1024)
     with pytest.warns(UserWarning):  # the 99% band
-        found = build_bands(s, plot, cfg, 0.7, alphas, lambda levels: drawn.append(levels) or paths(levels))
+        found = build_bands(s, plot, cfg, 0.7, alphas, _no_paths)  # c from the first-passage solve
     assert searches == [[0.005, 0.995, 0.025, 0.975, 0.05, 0.95]]
-    assert drawn == [[0.995, 0.975, 0.95]]  # one path set for every level
     assert all(b.base is plot for b in found)
+    assert [b.quantiles_used["c"] for b in found] == bridge_c_quantiles(0.7, 0.1, [0.995, 0.975, 0.95])
     # each band as me_band builds it from a search of its own
     spec = StableSpec(alpha=1.0 / 0.7, skew=1.0, kind=SUM_OVER_MAX)
     for band, alpha in zip(found, alphas):
@@ -202,13 +206,19 @@ def test_me_bands_heavy_regime_runs_one_quantile_search(monkeypatch):
             alone = me_band(s, plot, PlotConfig(1000, 0.1, alpha), 0.7, (c, None), tilde)
         assert alone.quantiles_used == band.quantiles_used
         assert alone.dy_lo.tolist() == band.dy_lo.tolist() and alone.dy_hi.tolist() == band.dy_hi.tolist()
+    # a light-regime band still reads every level off one path set
+    light = sample_pareto(0.25, 20_000, RngStream(7))
+    drawn = []
+    paths = _paths(0.25, 0.1, RngStream(8), 1000, 1024)
+    build_bands(light, me_set(light, cfg), cfg, 0.25, alphas, lambda levels: drawn.append(levels) or paths(levels))
+    assert drawn == [[0.995, 0.975, 0.95]]  # one path set for every level
 
 
 def test_me_band_heavy_regime_99_warns():
     s = sample_pareto(0.7, 5000, RngStream(9))
     cfg = PlotConfig(500, 0.1, 0.01)
     with pytest.warns(UserWarning):
-        build_bands(s, me_set(s, cfg), cfg, 0.7, [cfg.alpha], _paths(0.7, 0.1, RngStream(10), 1000, 1024))
+        build_bands(s, me_set(s, cfg), cfg, 0.7, [cfg.alpha], _no_paths)
 
 
 def test_me_band_regime_refusals():

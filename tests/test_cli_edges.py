@@ -25,7 +25,8 @@ EDGE_VALUES = ("nan", "inf", "0", "-1", "1e-300", "1e308", "1000000000000")
 # A valid command per row, with {f} the sample file and {o} the output
 # directory, and the numeric flags that vary from it.  A command is chosen
 # where the flag matters: --beta only shapes the GPD, --skew only the
-# stable law, and --paths and --grid only the Monte Carlo paths.
+# stable law, and --paths and --grid only the Monte Carlo paths, which an
+# analyze run draws (on --threads) for a light-regime ME band alone.
 TABLE = {
     "simulate": [
         (["simulate", "--dist", "pareto", "--xi", "0.5", "--n", "1000", "--out", "{o}/s.txt"],
@@ -40,11 +41,11 @@ TABLE = {
           "--outdir", "{o}"],
          ["--k", "--eps", "--alpha", "--xi", "--conservative-xi", "--seed", "--threads"]),
         (["analyze", "{f}", "--plot", "me", "--k", "300", "--eps", "0.1", "--band", "--xi", "0.7",
-          "--paths", "1000", "--grid", "1000", "--svg", "p.svg", "--outdir", "{o}"],
-         ["--k", "--eps", "--alpha", "--xi", "--conservative-xi", "--paths", "--grid", "--threads"]),
+          "--svg", "p.svg", "--outdir", "{o}"],
+         ["--k", "--eps", "--alpha", "--xi", "--conservative-xi"]),
         (["analyze", "{f}", "--plot", "me", "--k", "300", "--eps", "0.1", "--band", "--xi", "0.25",
           "--paths", "1000", "--grid", "1000", "--outdir", "{o}"],
-         ["--alpha", "--paths", "--grid"]),
+         ["--alpha", "--paths", "--grid", "--threads"]),
         (["analyze", "{f}", "--format", "csv-column", "--column", "0", "--plot", "qq", "--k", "300",
           "--eps", "0.05", "--outdir", "{o}"],
          ["--column"]),

@@ -745,8 +745,10 @@ def engine_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("xi", [0.25, 0.7])
-def test_analyze_me_multi_alpha_draws_one_path_set(sample_file, tmp_path, engine_calls, xi):
+@pytest.mark.parametrize("xi, path_sets", [(0.25, 1), (0.7, 0)], ids=["0.25", "0.7"])
+def test_analyze_me_multi_alpha_draws_one_path_set(sample_file, tmp_path, engine_calls, xi, path_sets):
+    # one path set serves every level of a light-regime band; a heavy-regime
+    # band solves c without paths
     bands = {}
     for name, extra in (("single", []), ("multi", ["--multi-alpha"])):
         engine_calls.clear()
@@ -756,7 +758,7 @@ def test_analyze_me_multi_alpha_draws_one_path_set(sample_file, tmp_path, engine
             "--paths", 1000, "--grid", 1024, "--seed", 3, "--outdir", out, *extra,
         )
         assert code == 0
-        assert len(engine_calls) == 1
+        assert len(engine_calls) == path_sets
         bands[name] = read(out / "band.csv")
     assert bands["multi"] == bands["single"]
 
@@ -874,6 +876,18 @@ def test_quantiles_cache_hit(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["cache_hit"] is False
 
 
+def test_quantiles_cache_keys_the_shape_exactly(tmp_path, capsys):
+    # a shape equal to another in four decimals is a key of its own
+    args = ["quantiles", "--functional", "stilde", "--level", 0.975, "--cache-dir", tmp_path]
+    assert run_cli(*args, "--xi", 0.7) == 0
+    first = json.loads(capsys.readouterr().out)
+    assert run_cli(*args, "--xi", 0.70004) == 0
+    second = json.loads(capsys.readouterr().out)
+    assert (first["cache_hit"], second["cache_hit"]) == (False, False)
+    assert abs(second["estimates"][0]["value"] - 1.5273857998) < 1e-9
+    assert abs(first["estimates"][0]["value"] - 1.5276509543) < 1e-9
+
+
 def test_quantiles_cache_misses_rows_of_older_numerics(tmp_path, capsys):
     # Rows written by earlier numerics must never be served: the untagged
     # quantile_cache.csv (brentq on the per-node sum) and v2 (the CF
@@ -900,10 +914,10 @@ def test_quantiles_cache_misses_rows_of_older_numerics(tmp_path, capsys):
 @pytest.mark.parametrize(
     "row",
     [
-        "stilde,0.5500,,0.975,100000,8192,0,cf-inversion,99.0,0.001",  # last two fields cut
-        "stilde,0.5500,,0.975,100000,8192,0,cf-inversion,99.0,0.001,0,0,0",  # one field too many
-        "stilde,0.5500,,0.975,100000,8192,0,cf-inversion,9x.0,0.001,0,0",  # value does not parse
-        "stilde,0.5500,,0.975,100000,8192,0,cf-inversion,99.0,0.0,0,0",  # std_error must be > 0
+        "stilde,0.55,,0.975,100000,8192,0,cf-inversion,99.0,0.001",  # last two fields cut
+        "stilde,0.55,,0.975,100000,8192,0,cf-inversion,99.0,0.001,0,0,0",  # one field too many
+        "stilde,0.55,,0.975,100000,8192,0,cf-inversion,9x.0,0.001,0,0",  # value does not parse
+        "stilde,0.55,,0.975,100000,8192,0,cf-inversion,99.0,0.0,0,0",  # std_error must be > 0
     ],
     ids=["cut", "extra-field", "bad-float", "zero-std-error"],
 )
@@ -926,7 +940,7 @@ def test_quantiles_cache_malformed_row_is_a_miss(tmp_path, capsys, row):
 
 def test_quantiles_cache_non_utf8_row_is_a_miss(tmp_path, capsys):
     cache = tmp_path / f"quantile_cache.v{_CACHE_NUMERICS}.csv"
-    bad = b"stilde,0.5500,,0.975,100000,8192,0,cf-inversion,9\xff.0,0.001,0,0\n"
+    bad = b"stilde,0.55,,0.975,100000,8192,0,cf-inversion,9\xff.0,0.001,0,0\n"
     cache.write_bytes(_CACHE_HEADER.encode() + b"\n" + bad)
     args = ["quantiles", "--functional", "stilde", "--xi", 0.55, "--level", 0.975, "--seed", 0,
             "--cache-dir", tmp_path]

@@ -73,11 +73,22 @@ def test_help_version_and_usage_errors_load_no_numpy(tmp_path, argv, code):
     assert _loaded(argv, tmp_path, ["numpy", "tailband.data"]) == (code, "[]")
 
 
-def test_heavy_me_band_on_two_threads_loads_every_on_demand_layer(tmp_path):
-    me = ["analyze", _heavy_sample(tmp_path), "--plot", "me", "--k", 300, "--eps", 0.1, "--band", "--xi", 0.7,
-          "--paths", 1000, "--grid", 1024, "--threads", 2, "--outdir", tmp_path / "o"]
-    assert _loaded(me, tmp_path) == (0, repr(sorted(ON_DEMAND)))
-    assert json.loads((tmp_path / "o" / "meta.json").read_text())["regime"] == "me-gt-half"
+def _me_band(tmp_path, xi, out):
+    """An ME band command on two threads, with the Monte Carlo flags set."""
+    return ["analyze", _heavy_sample(tmp_path), "--plot", "me", "--k", 300, "--eps", 0.1, "--band", "--xi", xi,
+            "--paths", 1000, "--grid", 1024, "--threads", 2, "--outdir", tmp_path / out]
+
+
+def test_me_bands_on_two_threads_load_only_the_layers_they_run(tmp_path):
+    # a light-regime band draws its paths on the thread pool; a heavy-regime
+    # band loads the sum-over-max inverter and solves c without paths, so it
+    # starts no pool
+    assert _loaded(_me_band(tmp_path, 0.25, "light"), tmp_path) == (0, "['concurrent.futures']")
+    assert _loaded(_me_band(tmp_path, 0.7, "heavy"), tmp_path) == (
+        0, repr(sorted(set(ON_DEMAND) - {"concurrent.futures"}))
+    )
+    assert json.loads((tmp_path / "light" / "meta.json").read_text())["regime"] == "me-lt-half"
+    assert json.loads((tmp_path / "heavy" / "meta.json").read_text())["regime"] == "me-gt-half"
 
 
 def test_workload_commands_do_not_load_numpy_ma(tmp_path):
@@ -135,13 +146,17 @@ def test_process_entry_freezes_the_import_time_heap(tmp_path, entry):
 def test_traced_runner_counts_the_layers_loaded_on_demand(tmp_path):
     # the runner patches module attributes, so a layer that a command imports
     # when it runs must be read from its module at call time to be traced
-    spans = tmp_path / "spans.json"
-    argv = [ROOT / "perfbench" / "traced.py", spans, "--", "analyze", _heavy_sample(tmp_path), "--plot", "me",
-            "--k", 300, "--eps", 0.1, "--band", "--xi", 0.7, "--paths", 1000, "--grid", 1024, "--threads", 2,
-            "--outdir", tmp_path / "o"]
-    proc = _run(argv, tmp_path)
-    assert proc.returncode == 0, proc.stderr
-    counts = json.loads(spans.read_text())["counts"]
-    assert counts["distributions.limit_quantile_calls"] == 1
-    assert counts["cfinversion.builds"] == 1
-    assert counts["parallel.batches"] > 0
+    def counts(xi):
+        spans = tmp_path / f"spans{xi}.json"
+        proc = _run([ROOT / "perfbench" / "traced.py", spans, "--", *_me_band(tmp_path, xi, f"o{xi}")], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(spans.read_text())["counts"]
+
+    heavy = counts(0.7)
+    assert heavy["distributions.limit_quantile_calls"] == 1
+    assert heavy["cfinversion.builds"] == 1
+    # the heavy band's c comes from the first-passage solve: no path set, no batch
+    assert heavy.get("limitsim.bridge_path_sets", 0) == 0 and heavy.get("parallel.batches", 0) == 0
+    light = counts(0.25)
+    assert light["limitsim.bridge_path_sets"] == 1
+    assert light["parallel.batches"] > 0
